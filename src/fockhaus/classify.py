@@ -6,11 +6,24 @@ questions only carry non-matching sufficient and necessary series
 conditions.  Convergence of a series is asserted only when a symbolic decay
 certificate (geometric from the support infimum, or a closed-form power
 envelope) yields a tail bound; raw partial sums never certify anything.
+
+The smoothing and summing criteria are data: each record of ``CRITERIA``
+holds an id, its question ("smoothing" or "summing"), a predicate
+``applies(p, q)`` and the tuples ``suff`` and ``nec`` of sufficient and
+necessary conditions.  A condition is ``(kind, power, weight_exponent)``,
+power and weight exponent each a number or a function of (p, q).  Kind
+"series" asks that sum_n mu_n**power (n+1)**weight_exponent converge,
+"sup" that sup_n mu_n (n+1)**weight_exponent be finite (power is 1), and
+"mass" that the integral of t**weight_exponent dmu(t)/t be finite.  A record
+with ``iff`` set has one condition that decides Yes or No by itself; a
+``target`` names the target space in the report's params.  One evaluator
+turns the records into reports.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -92,18 +105,26 @@ QUAD_BACKED_HORIZON = 256
 
 
 def _as_operator(term) -> tuple:
-    """Normalize the series source to (moment_fn, upper, lower, horizon_cap)."""
+    """(moment_fn, upper, lower, horizon_cap) of a measure or operator.
+
+    Such a tuple passes through, so callers evaluating many conditions on
+    one measure build it once.
+    """
+    if isinstance(term, tuple):
+        return term
     if isinstance(term, MeasureSpec):
         term = HausdorffOperator(term)
-    if isinstance(term, HausdorffOperator):
-        m = term.measure
-        _, tag = m.weighted_mass(0.0)
-        cap = None if tag == CLOSED_FORM else QUAD_BACKED_HORIZON
-        return term.eigenvalue, m.decay_upper(), m.decay_lower(), cap
-    if callable(term):
-        return term, None, None, None
-    seq = list(term)
-    return (lambda n: seq[n]), None, None, len(seq) - 1
+    m = term.measure
+    _, tag = m.weighted_mass(0.0)
+    cap = None if tag == CLOSED_FORM else QUAD_BACKED_HORIZON
+    return term.eigenvalue, m.decay_upper(), m.decay_lower(), cap
+
+
+def _prelude(term, upper, lower, n_terms: int, uncapped: int) -> tuple:
+    """(moment_fn, upper, lower, horizon), shared by the two verdicts."""
+    fn, up, lo, cap = _as_operator(term)
+    horizon = min(n_terms, uncapped if cap is None else cap)
+    return fn, up if upper is None else upper, lo if lower is None else lower, horizon
 
 
 def _geometric_tail(C: float, rho: float, v: float, N: int) -> float | None:
@@ -147,18 +168,12 @@ def series_verdict(
 ) -> SeriesVerdict:
     """Certified verdict on sum over n of mu_n**power * (n+1)**weight_exponent.
 
-    ``term`` is a measure, an operator, a callable n -> mu_n, or a finite
-    sequence; decay certificates are pulled from the measure when available
-    and may be overridden.
+    ``term`` is a measure or an operator; decay certificates are pulled from
+    its measure and may be overridden.
     """
     if not power > 0:
         raise ValueError("power must be > 0")
-    fn, up, lo, cap = _as_operator(term)
-    if upper is not None:
-        up = upper
-    if lower is not None:
-        lo = lower
-    horizon = n_terms if cap is None else min(n_terms, cap)
+    fn, up, lo, horizon = _prelude(term, upper, lower, n_terms, n_terms)
     sid = series_id or f"series[mu^{power:g}*(n+1)^{weight_exponent:g}]"
 
     outcome, tail, witness = "unknown", None, None
@@ -206,12 +221,7 @@ def sup_verdict(
     series_id: str | None = None,
 ) -> SeriesVerdict:
     """Certified verdict on sup over n of mu_n * (n+1)**weight_exponent."""
-    fn, up, lo, cap = _as_operator(term)
-    if upper is not None:
-        up = upper
-    if lower is not None:
-        lo = lower
-    horizon = min(n_terms, cap) if cap is not None else min(n_terms, 2048)
+    fn, up, lo, horizon = _prelude(term, upper, lower, n_terms, 2048)
     sid = series_id or f"sup[mu*(n+1)^{weight_exponent:g}]"
 
     outcome, bound, witness = "unknown", None, None
@@ -308,6 +318,27 @@ def classify_entire(m: MeasureSpec) -> ClassReport:
     )
 
 
+def _support_verdict(question, rep, params, evidence, rows, hypotheses=True) -> ClassReport:
+    """Yes iff ``hypotheses`` hold and the support mass in the first of ``rows`` is 0.
+
+    Each row is (criterion, SupportReport field, threshold, note or None).
+    """
+    for criterion, attr, threshold, note in rows:
+        row = {"criterion": criterion, "quantity": getattr(rep, attr), "threshold": threshold}
+        evidence.append(row if note is None else row | {"note": note})
+    ok = hypotheses and getattr(rep, rows[0][1]) == 0.0
+    return ClassReport(question, Verdict.YES if ok else Verdict.NO, params, evidence)
+
+
+def _fock_support_verdict(m: MeasureSpec, p, q, alpha, question: str, rows) -> ClassReport:
+    _check_exponent(p, "p")
+    if q is not None:
+        _check_exponent(q, "q")
+    mn, notice = _normalized_with_notice(m)
+    params = {"p": p, "q": q if q is not None else p, "alpha": alpha}
+    return _support_verdict(question, support_report(mn), params, notice, rows)
+
+
 def classify_bounded(
     m: MeasureSpec,
     p: float = 2.0,
@@ -319,34 +350,11 @@ def classify_bounded(
     The verdict is uniform over every exponent pair and weight, covers the
     equal-index spaces and every target with exponent >= the source.
     """
-    _check_exponent(p, "p")
-    if q is not None:
-        _check_exponent(q, "q")
-    mn, evidence = _normalized_with_notice(m)
-    rep = support_report(mn)
-    ok = rep.mass_below_1 == 0.0
-    evidence.append(
-        {
-            "criterion": "bounded/mass-below-1",
-            "quantity": rep.mass_below_1,
-            "threshold": 0.0,
-        }
-    )
-    evidence.append(
-        {
-            "criterion": "bounded/uniformity",
-            "quantity": rep.mass_below_1,
-            "threshold": 0.0,
-            "note": "verdict independent of (p, q, alpha); also settles every "
-            "source-to-larger-target pair",
-        }
-    )
-    return ClassReport(
-        question="fock-bounded",
-        verdict=Verdict.YES if ok else Verdict.NO,
-        params={"p": p, "q": q if q is not None else p, "alpha": alpha},
-        evidence=evidence,
-    )
+    return _fock_support_verdict(m, p, q, alpha, "fock-bounded", (
+        ("bounded/mass-below-1", "mass_below_1", 0.0, None),
+        ("bounded/uniformity", "mass_below_1", 0.0, "verdict independent of (p, q, alpha); "
+         "also settles every source-to-larger-target pair"),
+    ))
 
 
 def classify_compact(
@@ -356,38 +364,12 @@ def classify_compact(
     alpha: float = 1.0,
 ) -> ClassReport:
     """Compactness on (mixed) Fock spaces: holds iff no mass on (0, 1]."""
-    _check_exponent(p, "p")
-    if q is not None:
-        _check_exponent(q, "q")
-    mn, evidence = _normalized_with_notice(m)
-    rep = support_report(mn)
-    ok = rep.mass_unit_interval == 0.0
-    evidence.extend(
-        [
-            {
-                "criterion": "compact/mass-unit-interval",
-                "quantity": rep.mass_unit_interval,
-                "threshold": 0.0,
-            },
-            {
-                "criterion": "compact/mass-at-1",
-                "quantity": rep.mass_at_1,
-                "threshold": 0.0,
-            },
-            {
-                "criterion": "compact/uniformity",
-                "quantity": rep.mass_unit_interval,
-                "threshold": 0.0,
-                "note": "verdict independent of (p, q, alpha) and of the target exponent",
-            },
-        ]
-    )
-    return ClassReport(
-        question="compact",
-        verdict=Verdict.YES if ok else Verdict.NO,
-        params={"p": p, "q": q if q is not None else p, "alpha": alpha},
-        evidence=evidence,
-    )
+    return _fock_support_verdict(m, p, q, alpha, "compact", (
+        ("compact/mass-unit-interval", "mass_unit_interval", 0.0, None),
+        ("compact/mass-at-1", "mass_at_1", 0.0, None),
+        ("compact/uniformity", "mass_unit_interval", 0.0,
+         "verdict independent of (p, q, alpha) and of the target exponent"),
+    ))
 
 
 @dataclass(frozen=True)
@@ -470,35 +452,153 @@ def classify_weighted(
     )
 
 
-# -- smoothing criteria --------------------------------------------------------
-
-
-def _suff_nec_verdict(suff: list[SeriesVerdict], nec: list[SeriesVerdict]) -> Verdict:
-    if suff and all(s.outcome in ("converges", "bounded") for s in suff):
-        return Verdict.SUFFICIENT_HOLDS
-    if any(s.outcome in ("diverges", "unbounded") for s in nec):
-        return Verdict.NECESSARY_FAILS
-    return Verdict.INCONCLUSIVE
+# -- smoothing and summing criteria ---------------------------------------------
 
 
 def _inv(p: float) -> float:
     return 0.0 if p == INF else 1.0 / p
 
 
-def _smoothing_catalog(p: float, q: float):
-    """Criterion ids applicable to the source exponent q and target p."""
-    ip, iq = _inv(p), _inv(q)
-    cat = {}
-    cat["smoothing/monomial-gap"] = 1.0 <= p and p < q and iq <= 1.0
-    cat["smoothing/hilbert-source"] = q == 2.0 and 0.0 < p < 2.0
-    cat["smoothing/sup-to-l1"] = q == INF and p == 1.0
-    cat["smoothing/dilation-route"] = 1.0 <= p <= 2.0 <= q and p < q
-    cat["smoothing/sup-to-lp"] = q == INF and 1.0 <= p <= 2.0
-    cat["smoothing/hilbert-to-lp"] = q == 2.0 and 0.0 < p < 2.0
-    cat["smoothing/hilbert-chain"] = (q == 2.0 and p == 1.0) or (q == INF and p == 2.0)
-    cat["smoothing/l1-to-mixed-sup"] = q == 1.0
-    cat["smoothing/to-mixed-hilbert"] = 0.0 < q < 2.0
-    return cat
+@dataclass(frozen=True)
+class Criterion:
+    """One smoothing or summing criterion as data; see the module docstring."""
+
+    id: str
+    question: str
+    applies: Callable[[float, float], bool]
+    suff: tuple = ()
+    nec: tuple = ()
+    iff: bool = False
+    target: str | None = None
+
+
+_ALWAYS = lambda p, q: True  # noqa: E731
+_SMALL_P = lambda p, q: 1.0 <= p <= 2.0  # noqa: E731
+_P = lambda p, q: p  # noqa: E731
+
+# For smoothing, p is the target exponent and q the source.
+CRITERIA = (
+    Criterion("smoothing/monomial-gap", "smoothing", lambda p, q: 1.0 <= p < q and _inv(q) <= 1.0,
+              suff=(("series", 1.0, lambda p, q: 0.5 * (_inv(p) - _inv(q))),),
+              nec=(("sup", 1.0, lambda p, q: 0.5 * (_inv(p) - _inv(q))),)),
+    Criterion("smoothing/hilbert-source", "smoothing", lambda p, q: q == 2.0 and 0.0 < p < 2.0,
+              suff=(("series", lambda p, q: 2.0 * min(p, 1.0) / (2.0 - min(p, 1.0)),
+                     lambda p, q: min(p, 1.0) * (2.0 - p) / (2.0 * p * (2.0 - min(p, 1.0)))),),
+              nec=(("sup", 1.0, lambda p, q: (2.0 - p) / (4.0 * p)),)),
+    Criterion("smoothing/sup-to-l1", "smoothing", lambda p, q: q == INF and p == 1.0,
+              suff=(("series", 1.0, 0.0),), nec=(("series", 1.0, -0.5),)),
+    Criterion("smoothing/dilation-route", "smoothing",
+              lambda p, q: 1.0 <= p <= 2.0 <= q and p < q,
+              suff=(("series", 1.0, lambda p, q: _inv(p) - _inv(q) - 1.0),
+                    ("mass", 1.0, lambda p, q: 2.0 * _inv(q))),
+              nec=(("series", lambda p, q: 1.0 / (_inv(p) - _inv(q)), -0.5),)),
+    Criterion("smoothing/sup-to-lp", "smoothing", lambda p, q: q == INF and 1.0 <= p <= 2.0,
+              suff=(("series", 1.0, lambda p, q: _inv(p) - 1.0),), nec=(("series", _P, -0.5),)),
+    Criterion("smoothing/hilbert-to-lp", "smoothing", lambda p, q: q == 2.0 and 0.0 < p < 2.0,
+              suff=(("series", lambda p, q: 2.0 * p / (2.0 - p), 0.5),),
+              nec=(("series", lambda p, q: 2.0 * p / (2.0 - p), 0.0),)),
+    Criterion("smoothing/hilbert-chain", "smoothing",
+              lambda p, q: (q == 2.0 and p == 1.0) or (q == INF and p == 2.0),
+              suff=(("series", 2.0, 0.5),), nec=(("series", 2.0, 0.0),)),
+    Criterion("smoothing/l1-to-mixed-sup", "smoothing", lambda p, q: q == 1.0,
+              suff=(("sup", 1.0, 0.5),), iff=True, target="mixed(inf,1)"),
+    Criterion("smoothing/to-mixed-hilbert", "smoothing", lambda p, q: 0.0 < q < 2.0,
+              suff=(("sup", 1.0, lambda p, q: (2.0 - q) / (2.0 * q)),),
+              nec=(("sup", 1.0, lambda p, q: (2.0 - q) / (4.0 * q)),), target="mixed(2,q)"),
+    Criterion("summing/absolutely-summing-iff", "summing", _ALWAYS,
+              suff=(("series", 1.0, 0.0),), iff=True),
+    Criterion("summing/nuclear-chain", "summing", _ALWAYS,
+              suff=(("series", 1.0, 0.0),), nec=(("series", 1.0, -0.5),)),
+    Criterion("summing/p-nuclear-small", "summing", lambda p, q: 1.0 < p <= q <= 2.0,
+              suff=(("series", _P, 0.0),)),
+    Criterion("summing/p-nuclear-large", "summing", lambda p, q: q != INF and max(p, 2.0) <= q,
+              suff=(("series", _P, lambda p, q: p * (0.5 - 1.0 / q)),)),
+    Criterion("summing/summing-small-p", "summing", _SMALL_P,
+              nec=(("series", 2.0, lambda p, q: 1.0 / p - 0.5),)),
+    Criterion("summing/summing-large-q", "summing", lambda p, q: q != INF and q > 2.0,
+              nec=(("series", lambda p, q: q, lambda p, q: 0.5 * (1.0 - q / 2.0)),)),
+    Criterion("summing/p-summing-dual-suff", "summing", _SMALL_P,
+              suff=(("series", _P, lambda p, q: (2.0 - p) / 2.0),)),
+    Criterion("summing/p-summing-dual-nec", "summing", _SMALL_P,
+              nec=(("series", _P, lambda p, q: (p - 2.0) / 2.0),)),
+    Criterion("summing/cotype-21", "summing", _SMALL_P, suff=(("sup", 1.0, 0.0),)),
+)
+
+_CERTIFIED = ("converges", "bounded")
+_IFF_VERDICT = {"converges": Verdict.YES, "bounded": Verdict.YES, "diverges": Verdict.NO,
+                "unbounded": Verdict.NO, "unknown": Verdict.INCONCLUSIVE}
+
+
+def _suff_nec_verdict(suff: list[SeriesVerdict], nec: list[SeriesVerdict]) -> Verdict:
+    if suff and all(s.outcome in _CERTIFIED for s in suff):
+        return Verdict.SUFFICIENT_HOLDS
+    if any(s.outcome in ("diverges", "unbounded") for s in nec):
+        return Verdict.NECESSARY_FAILS
+    return Verdict.INCONCLUSIVE
+
+
+def _condition(src: tuple, m: MeasureSpec, cid: str, cond, p, q) -> SeriesVerdict:
+    """Evaluate one (kind, power, weight_exponent) condition of criterion cid."""
+    kind, power, w = (f(p, q) if callable(f) else f for f in cond)
+    if kind == "series":
+        return series_verdict(src, weight_exponent=w, power=power)
+    if kind == "sup":
+        return sup_verdict(src, weight_exponent=w)
+    try:  # "mass": the integral of t**w dmu(t)/t
+        integral, _ = m.weighted_mass(w)
+    except DivergentMoment:
+        integral = math.inf
+    ok = math.isfinite(integral)
+    return SeriesVerdict(
+        f"{cid}/source-power-mass", "mass", 1.0, w, 0, integral, None,
+        "converges" if ok else "diverges",
+        None if ok else "integral of t^(2/q - 1) against the measure diverges",
+    )
+
+
+def _report(c: Criterion, suff: list, nec: list, params: dict, notice: list) -> ClassReport:
+    """The verdict and evidence rows of one criterion from its evaluated conditions."""
+    if c.iff:
+        return ClassReport(c.question, _IFF_VERDICT[suff[0].outcome], params,
+                           notice + [suff[0].as_dict()])
+    # a finite mass shows only in its own row, after the necessary conditions
+    evidence = notice + [s.as_dict() | {"role": "sufficient"} for s in suff
+                         if s.kind != "mass" or s.outcome != "converges"]
+    evidence += [s.as_dict() | {"role": "necessary"} for s in nec]
+    certified = [s.outcome in _CERTIFIED for s in suff]
+    for s in (s for s in suff if s.kind == "mass"):
+        evidence.append({"criterion": s.series_id, "quantity": s.partial, "threshold": "finite"})
+        if any(certified) and not all(certified):
+            evidence.append({"criterion": f"{c.id}/partial-sufficient", "quantity": s.partial,
+                             "threshold": "both parts must certify",
+                             "note": "only one of the two sufficient conditions certifies"})
+    return ClassReport(c.question, _suff_nec_verdict(suff, nec), params, evidence)
+
+
+def _evaluate(question: str, m: MeasureSpec, p: float, q: float, criteria, extra: dict):
+    """Reports of the named (default: every applicable) criteria of a question."""
+    p = _check_exponent(p, "p")
+    q = _check_exponent(q, "q")
+    table = {c.id: c for c in CRITERIA if c.question == question}
+    if criteria is None:
+        criteria = [cid for cid, c in table.items() if c.applies(p, q)]
+    for cid in criteria:
+        if cid not in table:
+            raise CriterionInapplicable(f"unknown criterion {cid!r}")
+        if not table[cid].applies(p, q):
+            raise CriterionInapplicable(f"{cid} does not cover p={p:g}, q={q:g}")
+    if not criteria:
+        return []
+    mn, notice = _normalized_with_notice(m)
+    src = _as_operator(mn)
+    reports = []
+    for c in (table[cid] for cid in criteria):
+        params = {"p": p, "q": q, **extra, "criterion": c.id}
+        params |= {} if c.target is None else {"target": c.target}
+        suff = [_condition(src, mn, c.id, cond, p, q) for cond in c.suff]
+        nec = [_condition(src, mn, c.id, cond, p, q) for cond in c.nec]
+        reports.append(_report(c, suff, nec, params, notice))
+    return reports
 
 
 def smoothing_criteria(
@@ -515,146 +615,7 @@ def smoothing_criteria(
     requesting an inapplicable criterion by name raises
     CriterionInapplicable.
     """
-    p = _check_exponent(p, "p")
-    q = _check_exponent(q, "q")
-    mn, notice = _normalized_with_notice(m)
-    op = HausdorffOperator(mn)
-    catalog = _smoothing_catalog(p, q)
-    if criteria is None:
-        selected = [cid for cid, ok in catalog.items() if ok]
-    else:
-        for cid in criteria:
-            if cid not in catalog:
-                raise CriterionInapplicable(f"unknown criterion {cid!r}")
-            if not catalog[cid]:
-                raise CriterionInapplicable(
-                    f"{cid} does not cover target p={p:g}, source q={q:g}"
-                )
-        selected = list(criteria)
-
-    ip, iq = _inv(p), _inv(q)
-    reports = []
-    for cid in selected:
-        suff: list[SeriesVerdict] = []
-        nec: list[SeriesVerdict] = []
-        params = {"p": p, "q": q, "alpha": alpha, "criterion": cid}
-        extra_evidence: list[dict] = []
-
-        if cid == "smoothing/monomial-gap":
-            e = 0.5 * (ip - iq)
-            suff.append(series_verdict(op, weight_exponent=e, power=1.0))
-            nec.append(sup_verdict(op, weight_exponent=e))
-        elif cid == "smoothing/hilbert-source":
-            g = min(p, 1.0)
-            u = 2.0 * g / (2.0 - g)
-            w = g * (2.0 - p) / (2.0 * p * (2.0 - g))
-            suff.append(series_verdict(op, weight_exponent=w, power=u))
-            nec.append(sup_verdict(op, weight_exponent=(2.0 - p) / (4.0 * p)))
-        elif cid == "smoothing/sup-to-l1":
-            suff.append(series_verdict(op, weight_exponent=0.0, power=1.0))
-            nec.append(series_verdict(op, weight_exponent=-0.5, power=1.0))
-        elif cid == "smoothing/dilation-route":
-            gamma = ip - iq
-            try:
-                integral, _ = mn.weighted_mass(2.0 * iq)
-                integral_ok = math.isfinite(integral)
-            except DivergentMoment:
-                integral, integral_ok = math.inf, False
-            extra_evidence.append(
-                {
-                    "criterion": "smoothing/dilation-route/source-power-mass",
-                    "quantity": integral,
-                    "threshold": "finite",
-                }
-            )
-            ser = series_verdict(op, weight_exponent=gamma - 1.0, power=1.0)
-            suff.append(ser)
-            if integral_ok != (ser.outcome == "converges") and (
-                integral_ok or ser.outcome == "converges"
-            ):
-                extra_evidence.append(
-                    {
-                        "criterion": "smoothing/dilation-route/partial-sufficient",
-                        "quantity": integral,
-                        "threshold": "both parts must certify",
-                        "note": "only one of the two sufficient conditions certifies",
-                    }
-                )
-            if not integral_ok:
-                suff.append(
-                    SeriesVerdict(
-                        series_id="smoothing/dilation-route/source-power-mass",
-                        kind="series",
-                        power=1.0,
-                        weight_exponent=2.0 * iq,
-                        n_terms=0,
-                        partial=integral,
-                        tail_bound=None,
-                        outcome="diverges",
-                        witness="integral of t^(2/q - 1) against the measure diverges",
-                    )
-                )
-            nec.append(
-                series_verdict(op, weight_exponent=-0.5, power=1.0 / gamma)
-            )
-        elif cid == "smoothing/sup-to-lp":
-            suff.append(series_verdict(op, weight_exponent=ip - 1.0, power=1.0))
-            nec.append(series_verdict(op, weight_exponent=-0.5, power=p))
-        elif cid == "smoothing/hilbert-to-lp":
-            g = 2.0 * p / (2.0 - p)
-            suff.append(series_verdict(op, weight_exponent=0.5, power=g))
-            nec.append(series_verdict(op, weight_exponent=0.0, power=g))
-        elif cid == "smoothing/hilbert-chain":
-            suff.append(series_verdict(op, weight_exponent=0.5, power=2.0))
-            nec.append(series_verdict(op, weight_exponent=0.0, power=2.0))
-        elif cid == "smoothing/l1-to-mixed-sup":
-            sv = sup_verdict(op, weight_exponent=0.5)
-            verdict = {
-                "bounded": Verdict.YES,
-                "unbounded": Verdict.NO,
-                "unknown": Verdict.INCONCLUSIVE,
-            }[sv.outcome]
-            reports.append(
-                ClassReport(
-                    question="smoothing",
-                    verdict=verdict,
-                    params={**params, "target": "mixed(inf,1)"},
-                    evidence=notice + [sv.as_dict()] + extra_evidence,
-                )
-            )
-            continue
-        elif cid == "smoothing/to-mixed-hilbert":
-            suff.append(sup_verdict(op, weight_exponent=(2.0 - q) / (2.0 * q)))
-            nec.append(sup_verdict(op, weight_exponent=(2.0 - q) / (4.0 * q)))
-            params["target"] = "mixed(2,q)"
-
-        verdict = _suff_nec_verdict(suff, nec)
-        evidence = notice + [s.as_dict() | {"role": "sufficient"} for s in suff]
-        evidence += [s.as_dict() | {"role": "necessary"} for s in nec]
-        evidence += extra_evidence
-        reports.append(
-            ClassReport(
-                question="smoothing", verdict=verdict, params=params, evidence=evidence
-            )
-        )
-    return reports
-
-
-# -- summing criteria ------------------------------------------------------------
-
-
-def _summing_catalog(p: float, q: float):
-    cat = {}
-    cat["summing/absolutely-summing-iff"] = True
-    cat["summing/nuclear-chain"] = True
-    cat["summing/p-nuclear-small"] = 1.0 < p <= q <= 2.0
-    cat["summing/p-nuclear-large"] = q != INF and max(p, 2.0) <= q
-    cat["summing/summing-small-p"] = 1.0 <= p <= 2.0
-    cat["summing/summing-large-q"] = q != INF and q > 2.0
-    cat["summing/p-summing-dual-suff"] = 1.0 <= p <= 2.0
-    cat["summing/p-summing-dual-nec"] = 1.0 <= p <= 2.0
-    cat["summing/cotype-21"] = 1.0 <= p <= 2.0
-    return cat
+    return _evaluate("smoothing", m, p, q, criteria, {"alpha": alpha})
 
 
 def summing_criteria(
@@ -664,76 +625,4 @@ def summing_criteria(
     criteria: list[str] | None = None,
 ) -> list[ClassReport]:
     """Summing/nuclearity conditions expressed through the moment series."""
-    p = _check_exponent(p, "p")
-    q = _check_exponent(q, "q")
-    mn, notice = _normalized_with_notice(m)
-    op = HausdorffOperator(mn)
-    catalog = _summing_catalog(p, q)
-    if criteria is None:
-        selected = [cid for cid, ok in catalog.items() if ok]
-    else:
-        for cid in criteria:
-            if cid not in catalog:
-                raise CriterionInapplicable(f"unknown criterion {cid!r}")
-            if not catalog[cid]:
-                raise CriterionInapplicable(f"{cid} does not cover p={p:g}, q={q:g}")
-        selected = list(criteria)
-
-    reports = []
-    for cid in selected:
-        params = {"p": p, "q": q, "criterion": cid}
-        suff: list[SeriesVerdict] = []
-        nec: list[SeriesVerdict] = []
-        if cid == "summing/absolutely-summing-iff":
-            sv = series_verdict(op, weight_exponent=0.0, power=1.0)
-            verdict = {
-                "converges": Verdict.YES,
-                "diverges": Verdict.NO,
-                "unknown": Verdict.INCONCLUSIVE,
-            }[sv.outcome]
-            reports.append(
-                ClassReport(
-                    question="summing",
-                    verdict=verdict,
-                    params=params,
-                    evidence=notice + [sv.as_dict()],
-                )
-            )
-            continue
-        if cid == "summing/nuclear-chain":
-            suff.append(series_verdict(op, weight_exponent=0.0, power=1.0))
-            nec.append(series_verdict(op, weight_exponent=-0.5, power=1.0))
-        elif cid == "summing/p-nuclear-small":
-            suff.append(series_verdict(op, weight_exponent=0.0, power=p))
-        elif cid == "summing/p-nuclear-large":
-            suff.append(
-                series_verdict(op, weight_exponent=p * (0.5 - 1.0 / q), power=p)
-            )
-        elif cid == "summing/summing-small-p":
-            nec.append(
-                series_verdict(op, weight_exponent=1.0 / p - 0.5, power=2.0)
-            )
-        elif cid == "summing/summing-large-q":
-            nec.append(
-                series_verdict(op, weight_exponent=0.5 * (1.0 - q / 2.0), power=q)
-            )
-        elif cid == "summing/p-summing-dual-suff":
-            suff.append(
-                series_verdict(op, weight_exponent=(2.0 - p) / 2.0, power=p)
-            )
-        elif cid == "summing/p-summing-dual-nec":
-            nec.append(
-                series_verdict(op, weight_exponent=(p - 2.0) / 2.0, power=p)
-            )
-        elif cid == "summing/cotype-21":
-            suff.append(sup_verdict(op, weight_exponent=0.0))
-
-        verdict = _suff_nec_verdict(suff, nec)
-        evidence = notice + [s.as_dict() | {"role": "sufficient"} for s in suff]
-        evidence += [s.as_dict() | {"role": "necessary"} for s in nec]
-        reports.append(
-            ClassReport(
-                question="summing", verdict=verdict, params=params, evidence=evidence
-            )
-        )
-    return reports
+    return _evaluate("summing", m, p, q, criteria, {})
