@@ -7,17 +7,14 @@ conditions.  Convergence of a series is asserted only when a symbolic decay
 certificate (geometric from the support infimum, or a closed-form power
 envelope) yields a tail bound; raw partial sums never certify anything.
 
-The smoothing and summing criteria are data: each record of ``CRITERIA``
-holds an id, its question ("smoothing" or "summing"), a predicate
-``applies(p, q)`` and the tuples ``suff`` and ``nec`` of sufficient and
-necessary conditions.  A condition is ``(kind, power, weight_exponent)``,
-power and weight exponent each a number or a function of (p, q).  Kind
-"series" asks that sum_n mu_n**power (n+1)**weight_exponent converge,
-"sup" that sup_n mu_n (n+1)**weight_exponent be finite (power is 1), and
-"mass" that the integral of t**weight_exponent dmu(t)/t be finite.  A record
-with ``iff`` set has one condition that decides Yes or No by itself; a
-``target`` names the target space in the report's params.  One evaluator
-turns the records into reports.
+The smoothing and summing criteria are data.  A record of ``CRITERIA`` holds
+an id, its question, a predicate ``applies(p, q)`` and the tuples ``suff``
+and ``nec`` of sufficient and necessary conditions, each ``(kind, power,
+weight_exponent)`` with numbers or functions of (p, q).  Kind "series" asks
+that sum_n mu_n**power (n+1)**weight_exponent converge, "sup" that sup_n
+mu_n (n+1)**weight_exponent be finite (power 1), "mass" that the integral
+of t**weight_exponent dmu(t)/t be finite.  With ``iff`` set, the one
+condition decides Yes or No; ``target`` names the target space in params.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from .focknorm import INF, _check_exponent
 from .hausdorff import HausdorffOperator
 from .measure import (
     CLOSED_FORM,
-    DecayBound,
     DivergentMoment,
     MeasureSpec,
     normalize,
@@ -60,7 +56,7 @@ class SeriesVerdict:
     """Outcome of a series or sup condition on the moment sequence."""
 
     series_id: str
-    kind: str  # "series" | "sup"
+    kind: str  # "series" | "sup" | "mass"
     power: float
     weight_exponent: float
     n_terms: int
@@ -102,14 +98,11 @@ class ClassReport:
 # -- series machinery ---------------------------------------------------------
 
 QUAD_BACKED_HORIZON = 256
+DIVERGENCE_CUTOFF = 1e20  # a partial sum or prefix sup past this ends the scan
 
 
 def _as_operator(term) -> tuple:
-    """(moment_fn, upper, lower, horizon_cap) of a measure or operator.
-
-    Such a tuple passes through, so callers evaluating many conditions on
-    one measure build it once.
-    """
+    """(moment_fn, upper, lower, horizon_cap) of a measure or operator; such a tuple passes."""
     if isinstance(term, tuple):
         return term
     if isinstance(term, MeasureSpec):
@@ -120,24 +113,22 @@ def _as_operator(term) -> tuple:
     return term.eigenvalue, m.decay_upper(), m.decay_lower(), cap
 
 
-def _prelude(term, upper, lower, n_terms: int, uncapped: int) -> tuple:
+def _prelude(term, n_terms: int, uncapped: int) -> tuple:
     """(moment_fn, upper, lower, horizon), shared by the two verdicts."""
     fn, up, lo, cap = _as_operator(term)
-    horizon = min(n_terms, uncapped if cap is None else cap)
-    return fn, up if upper is None else upper, lo if lower is None else lower, horizon
+    return fn, up, lo, min(n_terms, uncapped if cap is None else cap)
 
 
-def _geometric_tail(C: float, rho: float, v: float, N: int) -> float | None:
-    """Bound on sum_{n>N} C * rho**n * (n+1)**v for rho < 1."""
-    if v <= 0.0:
-        s = 1.0 / (1.0 - rho)
-    else:
-        grow = rho * math.exp(v / (N + 2.0))
-        if grow >= 1.0:
-            return None
-        s = 1.0 / (1.0 - grow)
-    log_tail = math.log(C) + (N + 1.0) * math.log(rho) + v * math.log(N + 2.0)
-    return math.exp(log_tail) * s
+def _geometric_tail(log_C: float, log_rho: float, v: float, N: int) -> float | None:
+    """Bound on sum_{n>N} C * rho**n * (n+1)**v for rho < 1, from log C and log rho.
+
+    Logs keep C and rho usable where C**power or rho**power leaves double range.
+    """
+    grow = math.exp(log_rho) * math.exp(max(v, 0.0) / (N + 2.0))
+    if grow >= 1.0:
+        return None
+    log_tail = log_C + (N + 1.0) * log_rho + v * math.log(N + 2.0)
+    return math.exp(log_tail) * (1.0 / (1.0 - grow))
 
 
 def _power_tail(C: float, v: float, N: int) -> float:
@@ -148,11 +139,14 @@ def _power_tail(C: float, v: float, N: int) -> float:
 def _partial_sum(fn, power: float, w: float, horizon: int) -> tuple[float, int]:
     total = 0.0
     for n in range(horizon + 1):
-        term = fn(n) ** power * (n + 1.0) ** w
+        try:
+            term = fn(n) ** power * (n + 1.0) ** w
+        except OverflowError:  # the term lies past double range
+            term = math.inf
         total += term
         if term < 1e-18 * total:
             return total, n
-        if total > 1e20:
+        if total > DIVERGENCE_CUTOFF:
             return total, n
     return total, horizon
 
@@ -162,26 +156,22 @@ def series_verdict(
     weight_exponent: float = 0.0,
     power: float = 1.0,
     n_terms: int = 10_000,
-    upper: DecayBound | None = None,
-    lower: DecayBound | None = None,
-    series_id: str | None = None,
 ) -> SeriesVerdict:
     """Certified verdict on sum over n of mu_n**power * (n+1)**weight_exponent.
 
-    ``term`` is a measure or an operator; decay certificates are pulled from
-    its measure and may be overridden.
+    ``term`` is a measure or an operator; its measure supplies the decay
+    certificates.
     """
     if not power > 0:
         raise ValueError("power must be > 0")
-    fn, up, lo, horizon = _prelude(term, upper, lower, n_terms, n_terms)
-    sid = series_id or f"series[mu^{power:g}*(n+1)^{weight_exponent:g}]"
+    fn, up, lo, horizon = _prelude(term, n_terms, n_terms)
 
     outcome, tail, witness = "unknown", None, None
     if up is not None:
-        rho = up.ratio**power
+        log_rho = power * math.log(up.ratio)
         v = weight_exponent - up.power * power
-        if rho < 1.0:
-            tail = _geometric_tail(up.const**power, rho, v, horizon)
+        if log_rho < 0.0:
+            tail = _geometric_tail(power * math.log(up.const), log_rho, v, horizon)
             if tail is not None:
                 outcome = "converges"
                 witness = f"geometric envelope ratio {up.ratio:g}"
@@ -193,14 +183,18 @@ def series_verdict(
         v = weight_exponent - lo.power * power
         if lo.ratio > 1.0:
             outcome = "diverges"
-            witness = f"terms grow geometrically at ratio {lo.ratio ** power:g}"
+            try:
+                growth = f"{lo.ratio ** power:g}"
+            except OverflowError:
+                growth = f"exp({power * math.log(lo.ratio):g})"
+            witness = f"terms grow geometrically at ratio {growth}"
         elif lo.ratio == 1.0 and v >= -1.0:
             outcome = "diverges"
             witness = f"terms dominate the divergent p-series (n+1)^{v:g}"
 
     partial, used = _partial_sum(fn, power, weight_exponent, horizon)
     return SeriesVerdict(
-        series_id=sid,
+        series_id=f"series[mu^{power:g}*(n+1)^{weight_exponent:g}]",
         kind="series",
         power=power,
         weight_exponent=weight_exponent,
@@ -216,13 +210,9 @@ def sup_verdict(
     term,
     weight_exponent: float = 0.0,
     n_terms: int = 10_000,
-    upper: DecayBound | None = None,
-    lower: DecayBound | None = None,
-    series_id: str | None = None,
 ) -> SeriesVerdict:
     """Certified verdict on sup over n of mu_n * (n+1)**weight_exponent."""
-    fn, up, lo, horizon = _prelude(term, upper, lower, n_terms, 2048)
-    sid = series_id or f"sup[mu*(n+1)^{weight_exponent:g}]"
+    fn, up, lo, horizon = _prelude(term, n_terms, 2048)
 
     outcome, bound, witness = "unknown", None, None
     if up is not None:
@@ -245,13 +235,17 @@ def sup_verdict(
             outcome = "unbounded"
             witness = "terms grow without bound under the lower envelope"
 
+    # a bounded scan runs to its horizon, or the reported bound would be no bound
     prefix = 0.0
     for n in range(horizon + 1):
         prefix = max(prefix, fn(n) * (n + 1.0) ** weight_exponent)
+        if outcome == "unbounded" and prefix > DIVERGENCE_CUTOFF:
+            horizon = n
+            break
     if bound is not None:
         bound = max(bound, prefix)
     return SeriesVerdict(
-        series_id=sid,
+        series_id=f"sup[mu*(n+1)^{weight_exponent:g}]",
         kind="sup",
         power=1.0,
         weight_exponent=weight_exponent,
@@ -266,18 +260,18 @@ def sup_verdict(
 # -- support dichotomies -------------------------------------------------------
 
 
+def _row(criterion: str, quantity, threshold, note: str | None = None) -> dict:
+    """One evidence row of a report."""
+    row = {"criterion": criterion, "quantity": quantity, "threshold": threshold}
+    return row if note is None else row | {"note": note}
+
+
 def _normalized_with_notice(m: MeasureSpec) -> tuple[MeasureSpec, list]:
     mu0 = m.mu0
     if abs(mu0 - 1.0) <= 1e-12:
         return m, []
-    return normalize(m), [
-        {
-            "criterion": "normalization",
-            "quantity": mu0,
-            "threshold": 1.0,
-            "note": "input rescaled to total weighted mass 1; verdicts are scale-invariant",
-        }
-    ]
+    note = "input rescaled to total weighted mass 1; verdicts are scale-invariant"
+    return normalize(m), [_row("normalization", mu0, 1.0, note)]
 
 
 def classify_entire(m: MeasureSpec) -> ClassReport:
@@ -289,28 +283,12 @@ def classify_entire(m: MeasureSpec) -> ClassReport:
     """
     rep = support_report(m)
     ok = rep.inf_support > 0.0
-    evidence = [
-        {
-            "criterion": "entire/support-infimum",
-            "quantity": rep.inf_support,
-            "threshold": "> 0",
-        },
-        {
-            "criterion": "entire/never-compact",
-            "quantity": rep.total_weighted_mass,
-            "threshold": "> 0",
-            "note": "nonzero averaging operators are never compact on entire functions",
-        },
-    ]
+    evidence = [_row("entire/support-infimum", rep.inf_support, "> 0")]
     if ok:
-        evidence.insert(
-            1,
-            {
-                "criterion": "entire/root-moment-bound",
-                "quantity": max(rep.total_weighted_mass, 1.0) / rep.inf_support,
-                "threshold": "sup_n mu_n^(1/n) <= this",
-            },
-        )
+        bound = max(rep.total_weighted_mass, 1.0) / rep.inf_support
+        evidence.append(_row("entire/root-moment-bound", bound, "sup_n mu_n^(1/n) <= this"))
+    evidence.append(_row("entire/never-compact", rep.total_weighted_mass, "> 0",
+                         "nonzero averaging operators are never compact on entire functions"))
     return ClassReport(
         question="entire-continuity",
         verdict=Verdict.YES if ok else Verdict.NO,
@@ -324,8 +302,7 @@ def _support_verdict(question, rep, params, evidence, rows, hypotheses=True) -> 
     Each row is (criterion, SupportReport field, threshold, note or None).
     """
     for criterion, attr, threshold, note in rows:
-        row = {"criterion": criterion, "quantity": getattr(rep, attr), "threshold": threshold}
-        evidence.append(row if note is None else row | {"note": note})
+        evidence.append(_row(criterion, getattr(rep, attr), threshold, note))
     ok = hypotheses and getattr(rep, rows[0][1]) == 0.0
     return ClassReport(question, Verdict.YES if ok else Verdict.NO, params, evidence)
 
@@ -402,54 +379,36 @@ def gauss_weight(alpha: float) -> RadialWeight:
 
 def classify_weighted(
     m: MeasureSpec, v: RadialWeight, compactness: bool = True
-) -> ClassReport:
+) -> list[ClassReport]:
     """Boundedness (and optionally compactness) on weighted sup-norm spaces.
 
     Bounded iff no mass below 1 and mu_0 < inf (the latter holds by
     construction).  Compactness additionally needs no atom at 1 and the
-    weight's declared limit hypotheses.
+    weight's declared limit hypotheses.  Returns the "weighted-bounded"
+    report, then with ``compactness`` the "weighted-compact" one.
     """
     if not v.rapid_decay:
         raise HypothesisNotDeclared(
             "weight must decay faster than every polynomial (rapid_decay flag)"
         )
-    rep = support_report(m)
-    bounded = rep.mass_below_1 == 0.0
-    evidence = [
-        {
-            "criterion": "weighted/mass-below-1",
-            "quantity": rep.mass_below_1,
-            "threshold": 0.0,
-        },
-        {
-            "criterion": "weighted/total-weighted-mass",
-            "quantity": rep.total_weighted_mass,
-            "threshold": "finite",
-        },
-    ]
-    if compactness:
-        if v.monomial_norm_roots_diverge is None or v.dilation_ratio_vanishes is None:
-            raise HypothesisNotDeclared(
-                "compactness needs the weight flags monomial_norm_roots_diverge "
-                "and dilation_ratio_vanishes"
-            )
-        hyp = v.monomial_norm_roots_diverge and v.dilation_ratio_vanishes
-        compact = bounded and hyp and rep.mass_at_1 == 0.0
-        evidence.append(
-            {
-                "criterion": "weighted/compact-mass-at-1",
-                "quantity": rep.mass_at_1,
-                "threshold": 0.0,
-                "outcome": Verdict.YES.value if compact else Verdict.NO.value,
-                "note": "hypothesis flags " + ("declared" if hyp else "not satisfied"),
-            }
+    flags = (v.monomial_norm_roots_diverge, v.dilation_ratio_vanishes)
+    if compactness and None in flags:
+        raise HypothesisNotDeclared(
+            "compactness needs the weight flags monomial_norm_roots_diverge "
+            "and dilation_ratio_vanishes"
         )
-    return ClassReport(
-        question="weighted-bounded",
-        verdict=Verdict.YES if bounded else Verdict.NO,
-        params={"weight": v.label},
-        evidence=evidence,
-    )
+    rep = support_report(m)
+    params = {"weight": v.label}
+    reports = [_support_verdict("weighted-bounded", rep, params, [], (
+        ("weighted/mass-below-1", "mass_below_1", 0.0, None),
+        ("weighted/total-weighted-mass", "total_weighted_mass", "finite", None)))]
+    if compactness:
+        hyp = all(flags)
+        note = "hypothesis flags " + ("declared" if hyp else "not satisfied")
+        reports.append(_support_verdict("weighted-compact", rep, params, [], (
+            ("weighted/mass-unit-interval", "mass_unit_interval", 0.0, None),
+            ("weighted/compact-mass-at-1", "mass_at_1", 0.0, note)), hyp))
+    return reports
 
 
 # -- smoothing and summing criteria ---------------------------------------------
@@ -475,23 +434,25 @@ class Criterion:
 _ALWAYS = lambda p, q: True  # noqa: E731
 _SMALL_P = lambda p, q: 1.0 <= p <= 2.0  # noqa: E731
 _P = lambda p, q: p  # noqa: E731
+_GAP = lambda p, q: _inv(p) - _inv(q)  # noqa: E731
+_G = lambda p, q: min(p, 1.0)  # noqa: E731
 
 # For smoothing, p is the target exponent and q the source.
 CRITERIA = (
     Criterion("smoothing/monomial-gap", "smoothing", lambda p, q: 1.0 <= p < q and _inv(q) <= 1.0,
-              suff=(("series", 1.0, lambda p, q: 0.5 * (_inv(p) - _inv(q))),),
-              nec=(("sup", 1.0, lambda p, q: 0.5 * (_inv(p) - _inv(q))),)),
+              suff=(("series", 1.0, lambda p, q: 0.5 * _GAP(p, q)),),
+              nec=(("sup", 1.0, lambda p, q: 0.5 * _GAP(p, q)),)),
     Criterion("smoothing/hilbert-source", "smoothing", lambda p, q: q == 2.0 and 0.0 < p < 2.0,
-              suff=(("series", lambda p, q: 2.0 * min(p, 1.0) / (2.0 - min(p, 1.0)),
-                     lambda p, q: min(p, 1.0) * (2.0 - p) / (2.0 * p * (2.0 - min(p, 1.0)))),),
+              suff=(("series", lambda p, q: 2.0 * _G(p, q) / (2.0 - _G(p, q)),
+                     lambda p, q: _G(p, q) * (2.0 - p) / (2.0 * p * (2.0 - _G(p, q)))),),
               nec=(("sup", 1.0, lambda p, q: (2.0 - p) / (4.0 * p)),)),
     Criterion("smoothing/sup-to-l1", "smoothing", lambda p, q: q == INF and p == 1.0,
               suff=(("series", 1.0, 0.0),), nec=(("series", 1.0, -0.5),)),
     Criterion("smoothing/dilation-route", "smoothing",
               lambda p, q: 1.0 <= p <= 2.0 <= q and p < q,
-              suff=(("series", 1.0, lambda p, q: _inv(p) - _inv(q) - 1.0),
+              suff=(("series", 1.0, lambda p, q: _GAP(p, q) - 1.0),
                     ("mass", 1.0, lambda p, q: 2.0 * _inv(q))),
-              nec=(("series", lambda p, q: 1.0 / (_inv(p) - _inv(q)), -0.5),)),
+              nec=(("series", lambda p, q: 1.0 / _GAP(p, q), -0.5),)),
     Criterion("smoothing/sup-to-lp", "smoothing", lambda p, q: q == INF and 1.0 <= p <= 2.0,
               suff=(("series", 1.0, lambda p, q: _inv(p) - 1.0),), nec=(("series", _P, -0.5),)),
     Criterion("smoothing/hilbert-to-lp", "smoothing", lambda p, q: q == 2.0 and 0.0 < p < 2.0,
@@ -556,8 +517,12 @@ def _condition(src: tuple, m: MeasureSpec, cid: str, cond, p, q) -> SeriesVerdic
     )
 
 
-def _report(c: Criterion, suff: list, nec: list, params: dict, notice: list) -> ClassReport:
-    """The verdict and evidence rows of one criterion from its evaluated conditions."""
+def _report(c: Criterion, src: tuple, m: MeasureSpec, p, q, extra: dict, notice: list):
+    """One criterion's report: its conditions evaluated, its verdict and evidence rows."""
+    params = {"p": p, "q": q, **extra, "criterion": c.id}
+    params |= {} if c.target is None else {"target": c.target}
+    suff = [_condition(src, m, c.id, cond, p, q) for cond in c.suff]
+    nec = [_condition(src, m, c.id, cond, p, q) for cond in c.nec]
     if c.iff:
         return ClassReport(c.question, _IFF_VERDICT[suff[0].outcome], params,
                            notice + [suff[0].as_dict()])
@@ -567,11 +532,11 @@ def _report(c: Criterion, suff: list, nec: list, params: dict, notice: list) -> 
     evidence += [s.as_dict() | {"role": "necessary"} for s in nec]
     certified = [s.outcome in _CERTIFIED for s in suff]
     for s in (s for s in suff if s.kind == "mass"):
-        evidence.append({"criterion": s.series_id, "quantity": s.partial, "threshold": "finite"})
+        evidence.append(_row(s.series_id, s.partial, "finite"))
         if any(certified) and not all(certified):
-            evidence.append({"criterion": f"{c.id}/partial-sufficient", "quantity": s.partial,
-                             "threshold": "both parts must certify",
-                             "note": "only one of the two sufficient conditions certifies"})
+            note = "only one of the two sufficient conditions certifies"
+            evidence.append(_row(f"{c.id}/partial-sufficient", s.partial,
+                                 "both parts must certify", note))
     return ClassReport(c.question, _suff_nec_verdict(suff, nec), params, evidence)
 
 
@@ -591,14 +556,7 @@ def _evaluate(question: str, m: MeasureSpec, p: float, q: float, criteria, extra
         return []
     mn, notice = _normalized_with_notice(m)
     src = _as_operator(mn)
-    reports = []
-    for c in (table[cid] for cid in criteria):
-        params = {"p": p, "q": q, **extra, "criterion": c.id}
-        params |= {} if c.target is None else {"target": c.target}
-        suff = [_condition(src, mn, c.id, cond, p, q) for cond in c.suff]
-        nec = [_condition(src, mn, c.id, cond, p, q) for cond in c.nec]
-        reports.append(_report(c, suff, nec, params, notice))
-    return reports
+    return [_report(table[cid], src, mn, p, q, extra, notice) for cid in criteria]
 
 
 def smoothing_criteria(

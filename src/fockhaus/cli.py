@@ -134,7 +134,7 @@ def _classification_reports(m, p, q, alpha, weight):
     if weight is not None:
         if not weight.startswith("gauss:"):
             raise ValueError(f"unknown weight descriptor {weight!r}")
-        reports.append(
+        reports.extend(
             classify.classify_weighted(m, classify.gauss_weight(float(weight[6:])))
         )
     reports.extend(classify.smoothing_criteria(m, p=p, q=q, alpha=alpha))
