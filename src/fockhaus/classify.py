@@ -102,7 +102,7 @@ DIVERGENCE_CUTOFF = 1e20  # a partial sum or prefix sup past this ends the scan
 
 
 def _as_operator(term) -> tuple:
-    """(moment_fn, upper, lower, horizon_cap) of a measure or operator; such a tuple passes."""
+    """(moment_fn, upper, lower, horizon_cap) of a measure, an operator or such a tuple."""
     if isinstance(term, tuple):
         return term
     if isinstance(term, MeasureSpec):
@@ -435,7 +435,7 @@ _ALWAYS = lambda p, q: True  # noqa: E731
 _SMALL_P = lambda p, q: 1.0 <= p <= 2.0  # noqa: E731
 _P = lambda p, q: p  # noqa: E731
 _GAP = lambda p, q: _inv(p) - _inv(q)  # noqa: E731
-_G = lambda p, q: min(p, 1.0)  # noqa: E731
+_G = lambda p, q: min(p, 1.0)  # noqa: E731  (the g of hilbert-source)
 
 # For smoothing, p is the target exponent and q the source.
 CRITERIA = (
