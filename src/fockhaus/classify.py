@@ -6,6 +6,8 @@ questions only carry non-matching sufficient and necessary series
 conditions.  Convergence of a series is asserted only when a symbolic decay
 certificate (geometric from the support infimum, or a closed-form power
 envelope) yields a tail bound; raw partial sums never certify anything.
+Partial sums and prefix sups scan the log-moment array chunk by chunk with
+numpy, each term exp(power log mu_n + w log(n+1)); measure.py says how it grows.
 
 The smoothing and summing criteria are data.  A record of ``CRITERIA`` holds
 an id, its question, a predicate ``applies(p, q)`` and the tuples ``suff``
@@ -23,6 +25,8 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .focknorm import INF, _check_exponent
 from .hausdorff import HausdorffOperator
@@ -102,21 +106,37 @@ DIVERGENCE_CUTOFF = 1e20  # a partial sum or prefix sup past this ends the scan
 
 
 def _as_operator(term) -> tuple:
-    """(moment_fn, upper, lower, horizon_cap) of a measure, an operator or such a tuple."""
+    """(operator, upper, lower, horizon_cap) of a measure, an operator or such a tuple."""
     if isinstance(term, tuple):
         return term
     if isinstance(term, MeasureSpec):
         term = HausdorffOperator(term)
     m = term.measure
-    _, tag = m.weighted_mass(0.0)
-    cap = None if tag == CLOSED_FORM else QUAD_BACKED_HORIZON
-    return term.eigenvalue, m.decay_upper(), m.decay_lower(), cap
+    cap = None if term.method == CLOSED_FORM else QUAD_BACKED_HORIZON
+    return term, m.decay_upper(), m.decay_lower(), cap
 
 
 def _prelude(term, n_terms: int, uncapped: int) -> tuple:
-    """(moment_fn, upper, lower, horizon), shared by the two verdicts."""
-    fn, up, lo, cap = _as_operator(term)
-    return fn, up, lo, min(n_terms, uncapped if cap is None else cap)
+    """(operator, upper, lower, horizon), shared by the two verdicts."""
+    op, up, lo, cap = _as_operator(term)
+    return op, up, lo, min(n_terms, uncapped if cap is None else cap)
+
+
+def _scan(op: HausdorffOperator, power: float, w: float, horizon: int, accumulate, stop):
+    """Accumulate mu_n**power (n+1)**w over n = 0..horizon, one chunk of the operator's
+    log-moments at a time: (value, n) at the first n where stop(terms, values) holds,
+    else (value, horizon).  A term past double range is inf, without a warning."""
+    value, n = 0.0, 0
+    while n <= horizon:
+        log_mu = op.log_moments(n)[n : horizon + 1]
+        with np.errstate(over="ignore"):
+            terms = np.exp(power * log_mu + w * np.log(np.arange(n, n + len(log_mu)) + 1.0))
+        values = accumulate(np.append(value, terms))[1:]  # left to right, as a loop would
+        hit = np.flatnonzero(stop(terms, values))
+        if hit.size:
+            return float(values[hit[0]]), n + int(hit[0])
+        value, n = float(values[-1]), n + len(terms)
+    return value, horizon
 
 
 def _geometric_tail(log_C: float, log_rho: float, v: float, N: int) -> float | None:
@@ -136,21 +156,6 @@ def _power_tail(C: float, v: float, N: int) -> float:
     return C * (N + 1.0) ** (v + 1.0) / (-v - 1.0)
 
 
-def _partial_sum(fn, power: float, w: float, horizon: int) -> tuple[float, int]:
-    total = 0.0
-    for n in range(horizon + 1):
-        try:
-            term = fn(n) ** power * (n + 1.0) ** w
-        except OverflowError:  # the term lies past double range
-            term = math.inf
-        total += term
-        if term < 1e-18 * total:
-            return total, n
-        if total > DIVERGENCE_CUTOFF:
-            return total, n
-    return total, horizon
-
-
 def series_verdict(
     term,
     weight_exponent: float = 0.0,
@@ -164,7 +169,7 @@ def series_verdict(
     """
     if not power > 0:
         raise ValueError("power must be > 0")
-    fn, up, lo, horizon = _prelude(term, n_terms, n_terms)
+    op, up, lo, horizon = _prelude(term, n_terms, n_terms)
 
     outcome, tail, witness = "unknown", None, None
     if up is not None:
@@ -192,7 +197,8 @@ def series_verdict(
             outcome = "diverges"
             witness = f"terms dominate the divergent p-series (n+1)^{v:g}"
 
-    partial, used = _partial_sum(fn, power, weight_exponent, horizon)
+    partial, used = _scan(op, power, weight_exponent, horizon, np.cumsum, lambda t, s: (
+        (t < 1e-18 * s) | (s > DIVERGENCE_CUTOFF)))
     return SeriesVerdict(
         series_id=f"series[mu^{power:g}*(n+1)^{weight_exponent:g}]",
         kind="series",
@@ -212,7 +218,7 @@ def sup_verdict(
     n_terms: int = 10_000,
 ) -> SeriesVerdict:
     """Certified verdict on sup over n of mu_n * (n+1)**weight_exponent."""
-    fn, up, lo, horizon = _prelude(term, n_terms, 2048)
+    op, up, lo, horizon = _prelude(term, n_terms, 2048)
 
     outcome, bound, witness = "unknown", None, None
     if up is not None:
@@ -236,12 +242,8 @@ def sup_verdict(
             witness = "terms grow without bound under the lower envelope"
 
     # a bounded scan runs to its horizon, or the reported bound would be no bound
-    prefix = 0.0
-    for n in range(horizon + 1):
-        prefix = max(prefix, fn(n) * (n + 1.0) ** weight_exponent)
-        if outcome == "unbounded" and prefix > DIVERGENCE_CUTOFF:
-            horizon = n
-            break
+    prefix, horizon = _scan(op, 1.0, weight_exponent, horizon, np.maximum.accumulate,
+                            lambda t, s: (s > DIVERGENCE_CUTOFF) & (outcome == "unbounded"))
     if bound is not None:
         bound = max(bound, prefix)
     return SeriesVerdict(

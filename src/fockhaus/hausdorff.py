@@ -18,7 +18,7 @@ from scipy import integrate
 from . import measure as msr
 from .entire import CoeffFunction
 from .focknorm import INF, _check_exponent, log_monomial_norm
-from .measure import DomainError, MeasureSpec, MomentSequence
+from .measure import CLOSED_FORM, DomainError, MeasureSpec, MomentSequence
 
 
 class IllDefined(Exception):
@@ -26,33 +26,30 @@ class IllDefined(Exception):
 
 
 class HausdorffOperator:
-    """A measure together with its lazily extended moment cache."""
+    """A measure together with its lazily extended array of log-moments."""
 
     def __init__(self, m: MeasureSpec):
         self.measure = m
         self.support = msr.support_report(m)
-        self._values: list[float] = []
-        self._methods: list[str] = []
+        self.method = m.weighted_mass(0.0)[1]  # closed form, or quadrature
+        self._log_mu = np.empty(0)
 
-    def _extend(self, n_max: int) -> None:
-        for n in range(len(self._values), n_max + 1):
-            v, tag = self.measure.weighted_mass(-float(n))
-            self._values.append(v)
-            self._methods.append(tag)
+    def log_moments(self, n_max: int) -> np.ndarray:
+        """log mu_0..log mu_{n_max} and any computed past it, grown as measure.py says."""
+        if n_max < 0:
+            raise ValueError("moment index must be >= 0")
+        have = len(self._log_mu)
+        if n_max >= have:
+            stop = max(n_max, 2 * have - 1, 63) if self.method == CLOSED_FORM else n_max
+            self._log_mu = np.append(self._log_mu, self.measure.log_moments(stop, have))
+        return self._log_mu
 
     def eigenvalue(self, n: int) -> float:
         """mu_n, the eigenvalue at the degree-n monomial."""
-        if n < 0:
-            raise ValueError("moment index must be >= 0")
-        self._extend(n)
-        return self._values[n]
+        return float(msr.exp_moments(self.log_moments(n)[n]))
 
     def moments(self, n_max: int) -> MomentSequence:
-        self._extend(n_max)
-        return MomentSequence(
-            values=list(self._values[: n_max + 1]),
-            methods=list(self._methods[: n_max + 1]),
-        )
+        return MomentSequence.from_logs(self.log_moments(n_max)[: n_max + 1], self.method)
 
     def _require_well_defined(self) -> None:
         if not self.support.inf_support > 0.0:
@@ -68,7 +65,7 @@ class HausdorffOperator:
 def apply_spectral(op: HausdorffOperator, f: CoeffFunction) -> CoeffFunction:
     """Diagonal action: coefficient n is multiplied by mu_n."""
     op._require_well_defined()
-    mu = np.array([op.eigenvalue(n) for n in range(f.degree + 1)])
+    mu = msr.exp_moments(op.log_moments(f.degree)[: f.degree + 1])
     return CoeffFunction(f.coeffs * mu, label=f.label)
 
 

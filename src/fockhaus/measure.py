@@ -8,6 +8,12 @@ convolutions, scalings) and never sampled: support dichotomies such as
 
 are computed in closed form where the family admits one and by adaptive
 quadrature (after the substitution t = e**u) otherwise.
+
+``log_moments(n_max)`` is the array log mu_0..log mu_{n_max}: vectorised over n
+for closed forms, one quadrature per index for a density or a product holding
+one.  An operator grows its array in doubling chunks (from 64) for closed forms
+and one index at a time for quadrature, so a scan that stops early computes no
+moment past its stop.  Past double range a moment reads inf, without a warning.
 """
 
 from __future__ import annotations
@@ -84,15 +90,13 @@ class MomentSequence:
     values: list[float]
     methods: list[str]
 
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
+    @classmethod
+    def from_logs(cls, log_mu: np.ndarray, method: str) -> MomentSequence:
+        values = exp_moments(log_mu).tolist()
+        return cls(values=values, methods=[method] * len(values))
 
     def __getitem__(self, n: int) -> float:
         return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 class MeasureSpec:
@@ -126,6 +130,11 @@ class MeasureSpec:
         """
         raise NotImplementedError
 
+    def log_moments(self, n_max: int, n_min: int = 0) -> np.ndarray:
+        """log mu_{n_min}..log mu_{n_max}; here one weighted_mass per index."""
+        with np.errstate(divide="ignore"):
+            return np.log([self.weighted_mass(-float(n))[0] for n in range(n_min, n_max + 1)])
+
     # -- decay certificates --------------------------------------------------
 
     def decay_upper(self) -> DecayBound | None:
@@ -156,6 +165,12 @@ class MeasureSpec:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
+
+
+def exp_moments(log_mu: np.ndarray) -> np.ndarray:
+    """mu from log mu; a moment past double range reads inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.exp(log_mu)
 
 
 def _as_positive(x: float, what: str) -> float:
@@ -213,12 +228,22 @@ class PointMasses(MeasureSpec):
     def mass_at(self, x: float) -> float:
         return sum(lam for lam, t in self.atoms if t == x)
 
+    def _log_masses(self, exponents: np.ndarray) -> np.ndarray:
+        """log integral of t**e dmu(t)/t per e, a block of rows of (e x atoms) at a time."""
+        log_lam, log_t = np.log(self.atoms).T
+        rows = max(1, (1 << 16) // len(self.atoms))
+        out = np.empty(len(exponents))
+        for i in range(0, len(exponents), rows):
+            terms = log_lam + np.outer(exponents[i : i + rows] - 1.0, log_t)
+            peak = terms.max(axis=1)
+            out[i : i + rows] = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+        return out
+
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
-        lam = np.array([a[0] for a in self.atoms])
-        pos = np.array([a[1] for a in self.atoms])
-        log_terms = np.log(lam) + (exponent - 1.0) * np.log(pos)
-        m = log_terms.max()
-        return float(np.exp(m) * np.exp(log_terms - m).sum()), CLOSED_FORM
+        return float(exp_moments(self._log_masses(np.array([exponent])))[0]), CLOSED_FORM
+
+    def log_moments(self, n_max: int, n_min: int = 0) -> np.ndarray:
+        return self._log_masses(-np.arange(n_min, n_max + 1.0))
 
     def decay_upper(self) -> DecayBound:
         t_min = self.atoms[0][1]
@@ -229,7 +254,10 @@ class PointMasses(MeasureSpec):
         return DecayBound(ratio=1.0 / t_min, power=0.0, const=lam / t_min)
 
     def to_json_dict(self) -> dict:
-        return {"type": "point_masses", "atoms": [[lam, t] for lam, t in self.atoms]}
+        out = {"type": "point_masses", "atoms": [[lam, t] for lam, t in self.atoms],
+               "declared_inf_support": self.declared_inf_support,
+               "tail_certificate": self.tail_certificate or None}
+        return {k: v for k, v in out.items() if v is not None}
 
     def __repr__(self) -> str:
         return f"PointMasses({list(self.atoms)!r})"
@@ -293,6 +321,9 @@ class PowerTailDensity(MeasureSpec):
                 f"integral t**({exponent - self.a - 1:g}) over (1,inf) diverges"
             )
         return 1.0 / (self.a - exponent), CLOSED_FORM
+
+    def log_moments(self, n_max: int, n_min: int = 0) -> np.ndarray:
+        return -np.log(np.arange(n_min, n_max + 1.0) + self.a)
 
     def decay_upper(self) -> DecayBound:
         return DecayBound(ratio=1.0, power=1.0, const=max(1.0, 1.0 / self.a))
@@ -367,19 +398,24 @@ class BetaTailDensity(MeasureSpec):
             CLOSED_FORM,
         )
 
+    def log_moments(self, n_max: int, n_min: int = 0) -> np.ndarray:
+        # the same sums as weighted_mass(-n), so the same roundings
+        second = self.a + np.arange(n_min, n_max + 1.0) - self.b + 1.0
+        return gammaln(self.b) + gammaln(second) - gammaln(self.b + second)
+
     def _envelope_consts(self) -> tuple[float, float]:
-        # From u*exp(-u) <= 1-exp(-u) <= u inside B(b,m) = int (1-e^-u)^(b-1) e^-mu du,
-        # with m = n+a-b+1:  Gamma(b)*(n+a)^-b <= B <= Gamma(b)*m^-b for b >= 1
-        # (reversed for b < 1), then m and n+a are squeezed against (n+1).
+        # B(b,m), m = n+m0, m0 = 1+a-b > 0.  For b >= 1, u*exp(-u) <= 1-exp(-u) <= u inside
+        # B(b,m) = int (1-e^-u)^(b-1) e^-mu du gives Gamma(b)*(n+a)^-b <= B <= Gamma(b)*m^-b;
+        # for b < 1, Wendel's inequality gives Gamma(b)*m^-b <= B <= that * (1+b/m0)^(1-b).
+        # Then m and n+a are squeezed against (n+1).
         a, b = self.a, self.b
+        m0 = 1.0 + a - b
         gb = math.exp(gammaln(b))
-        m_factor = min(1.0, 1.0 + a - b) ** (-b)  # m >= min(1, 1+a-b)*(n+1)
-        m_factor_lo = max(1.0, 1.0 + a - b) ** (-b)  # m <= max(1, 1+a-b)*(n+1)
-        na_factor_lo = max(1.0, a) ** (-b)  # n+a <= max(1, a)*(n+1)
-        na_factor_up = min(1.0, a) ** (-b)  # n+a >= min(1, a)*(n+1)
-        if b >= 1.0:
-            return gb * m_factor, gb * na_factor_lo
-        return gb * na_factor_up, gb * m_factor_lo
+        m_factor = min(1.0, m0) ** (-b)  # m >= min(1, m0)*(n+1)
+        m_factor_lo = max(1.0, m0) ** (-b)  # m <= max(1, m0)*(n+1)
+        if b >= 1.0:  # n+a <= max(1, a)*(n+1)
+            return gb * m_factor, gb * max(1.0, a) ** (-b)
+        return gb * (1.0 + b / m0) ** (1.0 - b) * m_factor, gb * m_factor_lo
 
     def decay_upper(self) -> DecayBound:
         c_up, _ = self._envelope_consts()
@@ -548,6 +584,9 @@ class MellinConvolution(MeasureSpec):
         tag = CLOSED_FORM if lt == CLOSED_FORM and rt == CLOSED_FORM else _quad_tag()
         return lv * rv, tag
 
+    def log_moments(self, n_max: int, n_min: int = 0) -> np.ndarray:
+        return self.left.log_moments(n_max, n_min) + self.right.log_moments(n_max, n_min)
+
     @staticmethod
     def _combine(a: DecayBound | None, b: DecayBound | None) -> DecayBound | None:
         if a is None or b is None:
@@ -608,6 +647,9 @@ class Scaled(MeasureSpec):
         val, tag = self.inner.weighted_mass(exponent)
         return self.c * val, tag
 
+    def log_moments(self, n_max: int, n_min: int = 0) -> np.ndarray:
+        return math.log(self.c) + self.inner.log_moments(n_max, n_min)
+
     def decay_upper(self) -> DecayBound | None:
         b = self.inner.decay_upper()
         return None if b is None else DecayBound(b.ratio, b.power, self.c * b.const)
@@ -642,12 +684,7 @@ def moment(m: MeasureSpec, n: int) -> float:
 
 def moments(m: MeasureSpec, n_max: int) -> MomentSequence:
     """mu_0..mu_{n_max} with per-entry provenance tags."""
-    values, methods = [], []
-    for n in range(n_max + 1):
-        v, tag = m.weighted_mass(-float(n))
-        values.append(v)
-        methods.append(tag)
-    return MomentSequence(values=values, methods=methods)
+    return MomentSequence.from_logs(m.log_moments(n_max), m.weighted_mass(0.0)[1])
 
 
 def support_report(m: MeasureSpec) -> SupportReport:
@@ -720,7 +757,8 @@ def named_measure(name: str) -> MeasureSpec:
 def from_json_dict(data: dict) -> MeasureSpec:
     kind = data.get("type")
     if kind == "point_masses":
-        return PointMasses([(float(l), float(t)) for l, t in data["atoms"]])
+        return PointMasses([(float(l), float(t)) for l, t in data["atoms"]],
+                           data.get("declared_inf_support"), data.get("tail_certificate", 0.0))
     if kind == "density":
         sub = data.get("kind")
         if sub == "power_tail":

@@ -238,6 +238,14 @@ def test_far_dirac_classifies_without_overflow(t, inside_unit_ball):
     assert got["fock-bounded"] == want and got["compact"] == want
 
 
+def test_beta_tail_with_negative_a_classifies():
+    # b < 1 with a < 0: the envelope constants come from Wendel's inequality
+    code, out, err = run_cli(["classify", "--measure", "beta:-0.3:0.5"])
+    assert code == 0, err
+    got = {r["question"]: r["verdict"] for r in json.loads(out)}
+    assert (got["entire-continuity"], got["fock-bounded"], got["compact"]) == ("Yes",) * 3
+
+
 def test_series_verdict_takes_logs_of_far_envelopes():
     near_zero = classify.series_verdict(measure.dirac(1e200), power=2.0)
     assert near_zero.outcome == "converges"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fockhaus import harness
 from fockhaus import measure as msr
 
 
@@ -203,7 +204,7 @@ class TestDecayBounds:
                 assert mu >= lo.pointwise(n) * (1 - 1e-12)
 
     def test_beta_tail_envelope(self):
-        for a, b in ((2.0, 1.5), (2.0, 0.5), (1.0, 1.8), (4.0, 3.0)):
+        for a, b in ((2.0, 1.5), (2.0, 0.5), (1.0, 1.8), (4.0, 3.0), (-0.3, 0.5), (0.1, 0.95)):
             m = msr.BetaTailDensity(a, b)
             up, lo = m.decay_upper(), m.decay_lower()
             for n in range(80):
@@ -242,6 +243,12 @@ class TestJson:
             again = msr.from_json_dict(json.loads(m.to_json()))
             assert again == m
             assert m.to_json_dict() == case
+
+    def test_round_trip_keeps_atom_certificates(self):
+        m = harness._example_measures()["atoms-1+1/k"]
+        again = msr.from_json_dict(m.to_json_dict())
+        assert again.inf_support == m.inf_support == 1.0
+        assert again.tail_certificate == m.tail_certificate == 2.0**-60
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
