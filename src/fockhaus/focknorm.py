@@ -25,7 +25,8 @@ from .entire import CoeffFunction
 
 INF = float("inf")
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_ANGLE_EVALS = 4  # per p = inf circle maximum: the grid angle, then 3 Newton steps
+_SUP_ROUNDS = 6  # bracket rounds of the radial sup, each 8-fold narrower
 
 
 def _check_exponent(p: float, name: str = "p") -> float:
@@ -56,10 +57,16 @@ class FockParams:
 class QuadratureConfig:
     """Tunables for the quadrature routes.
 
-    angle_nodes is the starting angular resolution (default 4*(degree+1),
-    at least 64); it is doubled until the circle mean is stable to abs_tol
-    in the log or max_angle_nodes is reached.  The radial rule is composite
-    Gauss-Legendre on [0, R] with R = sqrt(2*(degree+40)/(alpha*min(p,q,1))).
+    angle_nodes is the starting angular resolution of finite-p means
+    (default 4*(degree+1), at least 64); it is doubled until the circle mean
+    is stable to abs_tol in the log or max_angle_nodes is reached.  The
+    radial rule is composite Gauss-Legendre on [0, R] with
+    R = sqrt(2*(degree+40)/(alpha*min(p,q,1))).
+
+    The p = inf circle maximum polishes the best of max(64, 8*(degree+1))
+    FFT angles by Newton steps; the radial sup refines the best of sup_grid
+    radii by rounds of 17 radii, each bracket 8-fold narrower.  Either
+    maximum is the largest value evaluated, so never below its grid maximum.
     """
 
     angle_nodes: int | None = None
@@ -107,6 +114,11 @@ def _log_abs(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_pos(x: np.ndarray) -> np.ndarray:
+    """log x where x > 0, -inf elsewhere."""
+    return np.log(x, out=np.full_like(x, -np.inf), where=x > 0)
+
+
 def _scaled_rows(coeffs: np.ndarray, radii: np.ndarray):
     """Per-radius rescaled coefficients c_n * r**n / exp(L) with the log scale L.
 
@@ -115,8 +127,8 @@ def _scaled_rows(coeffs: np.ndarray, radii: np.ndarray):
     """
     la = _log_abs(coeffs)
     n = np.arange(len(coeffs), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logr = np.where(radii > 0, np.log(radii, where=radii > 0), -np.inf)
+    logr = _log_pos(radii)
+    with np.errstate(invalid="ignore"):
         log_terms = la[None, :] + n[None, :] * logr[:, None]
     # r = 0 rows: only the constant term survives (kill the 0 * -inf artifacts)
     log_terms[radii == 0.0, 1:] = -np.inf
@@ -147,9 +159,7 @@ def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
 
     def means_at(block: np.ndarray, k: int) -> np.ndarray:
         vals = np.fft.fft(block, n=k, axis=1)
-        mean_p = np.mean(np.abs(vals) ** p, axis=1)
-        with np.errstate(divide="ignore"):
-            return np.where(mean_p > 0, np.log(mean_p, where=mean_p > 0), -np.inf) / p
+        return _log_pos(np.mean(np.abs(vals) ** p, axis=1)) / p
 
     out = means_at(scaled, K) + L
     active = np.ones(len(radii), dtype=bool)
@@ -179,8 +189,8 @@ def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
 def _log_mean_2(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     la = _log_abs(coeffs)
     n = np.arange(len(coeffs), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logr = np.where(radii > 0, np.log(radii, where=radii > 0), -np.inf)
+    logr = _log_pos(radii)
+    with np.errstate(invalid="ignore"):
         log_terms = 2.0 * la[None, :] + 2.0 * n[None, :] * logr[:, None]
     log_terms[radii == 0.0, 1:] = -np.inf
     log_terms[radii == 0.0, 0] = 2.0 * la[0]
@@ -189,35 +199,34 @@ def _log_mean_2(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 def _log_mean_inf(coeffs: np.ndarray, radii: np.ndarray,
                   cfg: QuadratureConfig) -> np.ndarray:
-    """log M_inf(f, r): dense angular grid plus vectorized golden-section polish."""
+    """log M_inf(f, r): FFT grid maximum, then Newton polish of the angle.
+
+    np.fft.fft samples g(theta) = sum s_n e^{i n theta} at theta = -k*h, so
+    each row starts at the angle of its largest grid value.  Newton steps on
+    |g|^2 use g, g' and g'' (coefficients s_n, i n s_n, -n^2 s_n) from one
+    phase matrix per step and stay inside the +-h bracket around the start.
+    The result is the largest |g| evaluated, grid values included.
+    """
     deg = len(coeffs) - 1
     scaled, L = _scaled_rows(coeffs, radii)
     K = max(64, 8 * (deg + 1))
     vals = np.abs(np.fft.fft(scaled, n=K, axis=1))
     best = np.argmax(vals, axis=1)
+    peak = vals[np.arange(len(radii)), best]
     h = 2.0 * math.pi / K
-    theta_best = best * h
+    start = -best * h
     n = np.arange(len(coeffs), dtype=float)
-
-    def eval_abs(theta):
-        phase = np.exp(1j * theta[:, None] * n[None, :])
-        return np.abs(np.sum(scaled * phase, axis=1))
-
-    a = theta_best - h
-    b = theta_best + h
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = eval_abs(x1), eval_abs(x2)
-    for _ in range(48):
-        take = f1 < f2  # maximize
-        a = np.where(take, x1, a)
-        b = np.where(take, b, x2)
-        x1 = b - _GOLDEN * (b - a)
-        x2 = a + _GOLDEN * (b - a)
-        f1, f2 = eval_abs(x1), eval_abs(x2)
-    peak = np.maximum(np.maximum(f1, f2), vals[np.arange(len(radii)), best])
-    with np.errstate(divide="ignore"):
-        return np.where(peak > 0, np.log(peak, where=peak > 0), -np.inf) + L
+    derivs = np.stack([np.ones_like(n), 1j * n, -n * n], axis=1)
+    theta = start
+    for _ in range(_ANGLE_EVALS):
+        g, g1, g2 = ((scaled * np.exp(1j * np.outer(theta, n))) @ derivs).T
+        peak = np.maximum(peak, np.abs(g))
+        slope = np.real(np.conj(g) * g1)
+        curv = np.abs(g1) ** 2 + np.real(np.conj(g) * g2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(curv < 0, -slope / curv, np.sign(slope) * h)
+        theta = np.clip(theta + step, start - h, start + h)
+    return _log_pos(peak) + L
 
 
 def _log_circle_means(coeffs: np.ndarray, p: float, radii: np.ndarray,
@@ -241,33 +250,23 @@ def circle_mean(f: CoeffFunction, p: float, r: float,
 
 def _log_radial_sup(coeffs: np.ndarray, p: float, alpha: float,
                     cfg: QuadratureConfig) -> float:
-    """log sup_r M_p(f,r) * exp(-alpha r^2 / 2) via grid plus golden polish."""
+    """log sup_r M_p(f,r) * exp(-alpha r^2 / 2): radial grid, then bracket rounds.
+
+    The sup_grid radii on [0, R] are one batched circle-mean call.  Each of
+    _SUP_ROUNDS further calls puts 17 radii on the bracket [r_{k-1}, r_{k+1}]
+    around the best radius so far, shrinking it 8-fold.  The result is the
+    largest weighted mean evaluated.
+    """
     deg = len(coeffs) - 1
-    R = radial_cutoff(deg, 1.0, alpha)
-    grid = np.linspace(0.0, R, cfg.sup_grid)
-    g = _log_circle_means(coeffs, p, grid, cfg) - alpha * grid**2 / 2.0
-    k = int(np.argmax(g))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-
-    def objective(r):
-        return float(
-            _log_circle_means(coeffs, p, np.array([r]), cfg)[0] - alpha * r * r / 2.0
-        )
-
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(60):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = objective(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = objective(x1)
-    return max(g[k], f1, f2)
+    radii = np.linspace(0.0, radial_cutoff(deg, 1.0, alpha), cfg.sup_grid)
+    best = -np.inf
+    for _ in range(_SUP_ROUNDS + 1):
+        g = _log_circle_means(coeffs, p, radii, cfg) - alpha * radii**2 / 2.0
+        k = int(np.argmax(g))
+        best = max(best, float(g[k]))
+        lo, hi = radii[max(k - 1, 0)], radii[min(k + 1, len(radii) - 1)]
+        radii = np.linspace(lo, hi, 17)
+    return best
 
 
 def _log_radial_integral(coeffs: np.ndarray, p: float, q: float, alpha: float,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,79 @@ class TestMixedNorm:
     def test_u1_weighted_sup(self):
         got = mixed_norm(entire.monomial(1), FockParams(1.0, INF, 1.0))
         assert got == pytest.approx(math.exp(-0.5), rel=1e-11)
+
+
+def grid_max(coeffs, r, nodes=2**20):
+    """max |f| on |z| = r over an FFT grid, refined by 2049 points in its best cell."""
+    s = np.asarray(coeffs) * r ** np.arange(len(coeffs))
+    vals = np.abs(np.fft.fft(s, n=nodes))
+    k = int(np.argmax(vals))
+    h = 2.0 * math.pi / nodes
+    theta = -k * h + np.linspace(-h, h, 2049)  # the FFT samples angle -k*h
+    cell = np.abs(np.exp(1j * np.outer(theta, np.arange(len(s)))) @ s)
+    return max(vals[k], cell.max()), vals[k]
+
+
+class TestSupMaximiser:
+    @pytest.mark.parametrize("size", [2.0, 5.0, 7.0])
+    @pytest.mark.parametrize("phase", [0.4, 1.3, 2.2, 3.9, 5.5])
+    def test_complex_kernel_matches_closed_form(self, size, phase):
+        for beta in (1.0, 2.0):
+            a = size / beta * complex(math.cos(phase), math.sin(phase))
+            got = fock_norm(entire.kernel(beta, a), INF, 1.0)
+            assert got == pytest.approx(kernel_norm_closed(beta, a, INF, 1.0), rel=1e-12)
+
+    def test_circle_max_matches_fine_grid(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            f = rand_poly(rng, int(rng.integers(1, 21)))
+            for r in (0.4, 1.0, 1.7, 3.0):
+                ref, coarse = grid_max(f.coeffs, r)
+                got = circle_mean(f, INF, r)
+                assert got == pytest.approx(ref, rel=1e-10)
+                assert got >= coarse * (1.0 - 1e-14)
+
+    def test_monomial_weighted_sup_matches_closed_form(self):
+        for n in (0, 1, 2, 7, 40, 99, 150, 200):
+            for p in (0.5, 2.0, INF):
+                got = mixed_norm(entire.monomial(n), FockParams(p, INF, 1.0))
+                assert math.log(got) == pytest.approx(
+                    log_monomial_norm(n, INF, 1.0), rel=1e-12, abs=1e-12
+                )
+
+    def test_radial_sup_batches_circle_means(self, monkeypatch):
+        calls = []
+        inner = focknorm._log_circle_means
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return inner(*args)
+
+        monkeypatch.setattr(focknorm, "_log_circle_means", counted)
+        f = entire.kernel(1.0, 3.0 + 4.0j)
+        for p in (0.5, 2.0, INF):
+            calls.clear()
+            focknorm._log_radial_sup(f.coeffs, p, 1.0, focknorm.DEFAULT_CFG)
+            assert 1 < len(calls) <= 8
+            assert calls[0] == focknorm.DEFAULT_CFG.sup_grid
+
+    def test_circle_mean_routes_are_warning_free(self):
+        funcs = [
+            entire.CoeffFunction([0.0]),
+            entire.monomial(0),
+            entire.monomial(3),
+            entire.CoeffFunction([0.0, 1j, -2.0]),
+            entire.CoeffFunction([1.0, 0.0, 0.5 - 0.5j]),
+        ]
+        radii = np.array([0.0, 0.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in funcs:
+                for p in (0.5, 1.0, 2.0, 3.0, INF):
+                    focknorm._log_circle_means(f.coeffs, p, radii, focknorm.DEFAULT_CFG)
+                    for r in radii:
+                        circle_mean(f, p, r)
+                    mixed_norm(f, FockParams(p, INF, 1.0))
 
 
 class TestKernelNormClosed:
