@@ -109,7 +109,7 @@ def _as_operator(term) -> tuple:
     """(operator, upper, lower, horizon_cap) of a measure, an operator or such a tuple."""
     if isinstance(term, tuple):
         return term
-    if isinstance(term, MeasureSpec):
+    if not isinstance(term, HausdorffOperator):
         term = HausdorffOperator(term)
     m = term.measure
     cap = None if term.method == CLOSED_FORM else QUAD_BACKED_HORIZON

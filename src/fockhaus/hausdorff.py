@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import measure as msr
 from .entire import CoeffFunction
@@ -69,60 +68,18 @@ def apply_spectral(op: HausdorffOperator, f: CoeffFunction) -> CoeffFunction:
     return CoeffFunction(f.coeffs * mu, label=f.label)
 
 
-def _complex_quad(func, lo, hi, **weight):
-    kw = dict(epsabs=1e-300, epsrel=1e-11, limit=400, **weight)
-    re, _ = integrate.quad(lambda u: func(u).real, lo, hi, **kw)
-    im, _ = integrate.quad(lambda u: func(u).imag, lo, hi, **kw)
-    return complex(re, im)
-
-
-def _action_at(m: MeasureSpec, fcall, z: complex) -> complex:
-    """integral of fcall(z/t) dm(t)/t by structural recursion.
-
-    No factor of a density integrand leaves double range: the power tail is
-    integrated in u = log t with its density e**(-a u) in log form, and the
-    beta tail in s = 1/t, where its density is the algebraic weight
-    s**(a-b) (1-s)**(b-1) of quad.  A generic Density still evaluates
-    phi(e**u), which is safe only while a Density with hi = inf fails to
-    construct (measure._log_substituted_quad raises DivergentMoment for it).
-    """
-    if isinstance(m, msr.PointMasses):
-        return sum((lam / t) * fcall(z / t) for lam, t in m.atoms)
-    if isinstance(m, msr.Scaled):
-        return m.c * _action_at(m.inner, fcall, z)
-    if isinstance(m, msr.MellinConvolution):
-        return _action_at(m.left, lambda w: _action_at(m.right, fcall, w), z)
-    if isinstance(m, msr.PowerTailDensity):
-        a = m.a
-        return _complex_quad(lambda u: fcall(z * math.exp(-u)) * math.exp(-a * u), 0.0, np.inf)
-    if isinstance(m, msr.BetaTailDensity):
-        # s = 1/t turns (t-1)**(b-1) t**-a dt/t on (1, inf) into s**(a-b) (1-s)**(b-1) ds
-        # on (0, 1); quad's algebraic weight carries both endpoint powers (each > -1
-        # since a+1 > b > 0), which leaves fcall(z s) as the whole integrand.
-        return _complex_quad(
-            lambda s: fcall(z * s), 0.0, 1.0, weight="alg", wvar=(m.a - m.b, m.b - 1.0)
-        )
-    if isinstance(m, msr.Density):
-        lo, hi = m.support
-        u_lo = math.log(lo) if lo > 0 else -np.inf
-        u_hi = math.log(hi) if math.isfinite(hi) else np.inf
-        return _complex_quad(
-            lambda u: fcall(z * math.exp(-u)) * m.phi(math.exp(u)), u_lo, u_hi
-        )
-    raise TypeError(f"no quadrature rule for measure type {type(m).__name__}")
-
-
 def apply_quadrature(op: HausdorffOperator, f: CoeffFunction, z_samples) -> np.ndarray:
     """Evaluate the defining integral of the transformed function at sample points.
 
-    Atoms are summed exactly; density parts go through adaptive quadrature
-    after t = e**u (t = 1/s for the beta tail), with the densities written so
-    that no factor of the integrand leaves double range.  This is the
-    independent oracle for apply_spectral.
+    The integral of f(z/t) dmu(t)/t is ``measure.integrate(lambda s: f(z * s))``
+    in the contraction factor s = 1/t: atoms are summed exactly, densities go
+    through adaptive quadrature written so that no factor of the integrand
+    leaves double range, and a Mellin product nests its factors' integrals.
+    This is the independent oracle for apply_spectral.
     """
     op._require_well_defined()
     out = [
-        _action_at(op.measure, lambda w: complex(f(w)), complex(z))
+        op.measure.integrate(lambda s: f(z * s))
         for z in np.atleast_1d(np.asarray(z_samples, dtype=complex))
     ]
     return np.array(out, dtype=complex)

@@ -1,13 +1,14 @@
 """Positive Borel measures on (0, inf), their moments and support facts.
 
 A measure is described symbolically (atoms, named densities, Mellin
-convolutions, scalings) and never sampled: support dichotomies such as
-"no mass below 1" are read off the structure, while moments
+convolutions, scalings) and never sampled.  Moments
 
     mu_n = integral over (0, inf) of t**-(n+1) dmu(t)
 
 are computed in closed form where the family admits one and by adaptive
-quadrature (after the substitution t = e**u) otherwise.
+quadrature (after the substitution t = e**u) otherwise.  The other integrals,
+the operator's quadrature action and the support masses of Mellin products, go
+through one structural recursion, ``integrate(h)``.
 
 ``log_moments(n_max)`` is the array log mu_0..log mu_{n_max}: vectorised over n
 for closed forms, one quadrature per index for a density or a product holding
@@ -122,6 +123,18 @@ class MeasureSpec:
 
     # -- integrals ---------------------------------------------------------
 
+    def integrate(self, h):
+        """integral of h(s) dmu(t)/t in the contraction factor s = 1/t, h real or complex.
+
+        The operator's action at z is ``integrate(lambda s: f(z * s))``.  Atoms are
+        summed, densities go through quad per real and imaginary part, and the beta
+        tail's rule samples the ends of (0, 1), so h may be called at s = 0.  A
+        product's support masses integrate one factor's mass function over the other
+        factor, the atomic one outside: its sum is exact there, while an atomic inner
+        factor would hand quadrature a step function.
+        """
+        raise NotImplementedError
+
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         """integral of t**exponent dmu(t)/t with a provenance tag.
 
@@ -228,6 +241,9 @@ class PointMasses(MeasureSpec):
     def mass_at(self, x: float) -> float:
         return sum(lam for lam, t in self.atoms if t == x)
 
+    def integrate(self, h):
+        return sum((lam / t) * h(1.0 / t) for lam, t in self.atoms)
+
     def _log_masses(self, exponents: np.ndarray) -> np.ndarray:
         """log integral of t**e dmu(t)/t per e, a block of rows of (e x atoms) at a time."""
         log_lam, log_t = np.log(self.atoms).T
@@ -315,6 +331,11 @@ class PowerTailDensity(MeasureSpec):
     def mass_at(self, x: float) -> float:
         return 0.0
 
+    def integrate(self, h):
+        # in u = log t the density e**(-a u) stays in log form, inside double range
+        a = self.a
+        return _complex_quad(lambda u: h(math.exp(-u)) * math.exp(-a * u), 0.0, np.inf)
+
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         if exponent >= self.a:
             raise DivergentMoment(
@@ -386,6 +407,12 @@ class BetaTailDensity(MeasureSpec):
 
     def mass_at(self, x: float) -> float:
         return 0.0
+
+    def integrate(self, h):
+        # s = 1/t turns (t-1)**(b-1) t**-a dt/t on (1, inf) into s**(a-b) (1-s)**(b-1) ds
+        # on (0, 1); quad's algebraic weight carries both endpoint powers (each > -1
+        # since a+1 > b > 0), which leaves h as the whole integrand
+        return _complex_quad(h, 0.0, 1.0, weight="alg", wvar=(self.a - self.b, self.b - 1.0))
 
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         second = self.a - exponent - self.b + 1.0
@@ -480,6 +507,14 @@ def _log_substituted_quad(phi, lo: float, hi: float, exponent: float = 1.0):
     return val, err
 
 
+def _complex_quad(func, lo, hi, **weight):
+    """integral of a real or complex func over (lo, hi), one quad per part."""
+    kw = dict(epsabs=1e-300, epsrel=1e-11, limit=400, **weight)
+    re, _ = integrate.quad(lambda u: func(u).real, lo, hi, **kw)
+    im, _ = integrate.quad(lambda u: func(u).imag, lo, hi, **kw)
+    return complex(re, im)
+
+
 class Density(MeasureSpec):
     """Generic density phi(t) dt on an interval (a, b) within (0, inf).
 
@@ -514,6 +549,14 @@ class Density(MeasureSpec):
 
     def mass_at(self, x: float) -> float:
         return 0.0
+
+    def integrate(self, h):
+        # phi(e**u) stays in double range only while a Density with hi = inf fails to
+        # construct (_log_substituted_quad raises DivergentMoment for it)
+        lo, hi = self.support
+        u_lo = math.log(lo) if lo > 0 else -np.inf
+        u_hi = math.log(hi) if math.isfinite(hi) else np.inf
+        return _complex_quad(lambda u: h(math.exp(-u)) * self.phi(math.exp(u)), u_lo, u_hi)
 
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         lo, hi = self.support
@@ -556,27 +599,19 @@ class MellinConvolution(MeasureSpec):
     def mass_below(self, x: float) -> float:
         if x <= self.inf_support:
             return 0.0
-        # nu((0,x)) = integral over s of right((0, x/s)) dleft(s)
-        if isinstance(self.left, PointMasses):
-            return sum(lam * self.right.mass_below(x / t) for lam, t in self.left.atoms)
-        if isinstance(self.right, PointMasses):
-            return sum(lam * self.left.mass_below(x / t) for lam, t in self.right.atoms)
-        if isinstance(self.left, Scaled):
-            return self.left.c * MellinConvolution(self.left.inner, self.right).mass_below(x)
-        if isinstance(self.right, Scaled):
-            return self.right.c * MellinConvolution(self.left, self.right.inner).mass_below(x)
-        raise NotImplementedError(
-            "mass below a general point of a density-density convolution"
-        )
+        # nu((0, x)) = integral of right((0, x/t)) dleft(t), or with the factors swapped
+        outer, inner = self.left, self.right
+        if inner.has_atoms and not outer.has_atoms:
+            outer, inner = inner, outer
+        return outer.integrate(lambda s: inner.mass_below(x * s) / s if s else 0.0).real
 
     def mass_at(self, x: float) -> float:
         if not self.has_atoms:
             return 0.0
-        if isinstance(self.left, PointMasses):
-            return sum(lam * self.right.mass_at(x / t) for lam, t in self.left.atoms)
-        if isinstance(self.left, Scaled):
-            return self.left.c * MellinConvolution(self.left.inner, self.right).mass_at(x)
-        raise NotImplementedError("mass_at for this convolution structure")
+        return self.left.integrate(lambda s: self.right.mass_at(x * s) / s if s else 0.0).real
+
+    def integrate(self, h):
+        return self.left.integrate(lambda s: self.right.integrate(lambda r: h(s * r)))
 
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         lv, lt = self.left.weighted_mass(exponent)
@@ -642,6 +677,9 @@ class Scaled(MeasureSpec):
 
     def mass_at(self, x: float) -> float:
         return self.c * self.inner.mass_at(x)
+
+    def integrate(self, h):
+        return self.c * self.inner.integrate(h)
 
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         val, tag = self.inner.weighted_mass(exponent)

@@ -17,7 +17,7 @@ import math
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fockhaus import classify, cli, harness, measure
@@ -193,7 +193,6 @@ named_measures = st.one_of(
 )
 exponent_pairs = st.sampled_from([(1.0, INF), (2.0, INF), (1.0, 2.0), (0.5, 2.0), (1.5, 2.0),
                                   (2.0, 4.0), (0.5, 1.0)])
-few = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
 
 def verdicts(m, p, q) -> list[tuple]:
@@ -204,14 +203,12 @@ def verdicts(m, p, q) -> list[tuple]:
     return [(r.question, r.params.get("criterion"), r.verdict) for r in reports]
 
 
-@few
 @given(named_measures, exponent_pairs, st.sampled_from([1e-3, 0.3, 7.0, 1e4]))
 def test_verdicts_are_invariant_under_scaling(name, pq, c):
     m = measure.named_measure(name)
     assert verdicts(measure.Scaled(c, m), *pq) == verdicts(m, *pq)
 
 
-@few
 @given(named_measures, exponent_pairs)
 def test_compact_implies_bounded(name, pq):
     m = measure.named_measure(name)

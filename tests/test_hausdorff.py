@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fockhaus import entire, measure as msr
 from fockhaus.focknorm import INF, log_monomial_norm
@@ -134,6 +136,35 @@ class TestQuadratureRoute:
         spect = apply_spectral(op, f)(zs)
         quadr = apply_quadrature(op, f, zs)
         np.testing.assert_allclose(quadr, spect, rtol=1e-8, atol=0)
+
+
+point_masses = st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.25, 4.0)), min_size=1,
+                        max_size=3).map(msr.PointMasses)
+densities = st.one_of(
+    st.builds(msr.PowerTailDensity, st.floats(0.5, 3.0)),
+    st.builds(lambda b, gap: msr.BetaTailDensity(b + gap, b), st.floats(0.5, 2.5),
+              st.floats(-0.5, 2.0)))
+# One leaf may be a density, every other factor is atomic: a product of two densities is
+# nested quadrature, too slow here (test_agreement_with_spectral_oracle has hardy * hardy).
+measures = st.recursive(st.one_of(densities, point_masses), lambda inner: st.one_of(
+    st.builds(msr.Scaled, st.floats(0.1, 10.0), inner),
+    st.builds(msr.MellinConvolution, point_masses, inner),
+    st.builds(msr.MellinConvolution, inner, point_masses)), max_leaves=3)
+unit_complex = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@given(measures,
+       st.lists(unit_complex, min_size=1, max_size=9),
+       st.lists(unit_complex, min_size=1, max_size=3))
+def test_quadrature_matches_spectral_on_random_polynomials(m, coeffs, points):
+    op = HausdorffOperator(m)
+    f = entire.CoeffFunction(coeffs)
+    zs = 1.5 * np.array(points)
+    quadr = apply_quadrature(op, f, zs)
+    spect = apply_spectral(op, f)(zs)
+    # quadrature errors scale with the integral of |f(z s)|, bounded by the image of |f| at |z|
+    scale = apply_spectral(op, entire.CoeffFunction(np.abs(f.coeffs)))(np.abs(zs)).real
+    assert np.all(np.abs(quadr - spect) <= 1e-8 * scale), m
 
 
 class TestDilationBounds:

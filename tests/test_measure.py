@@ -113,9 +113,53 @@ class TestSupportReport:
         assert conv.mass_below(1.0) == pytest.approx(0.5)
         assert conv.inf_support == 0.5
 
+    def test_depth_three_atomic_product(self):
+        # atom triples with positions multiplying to 1: (0.5, 0.5, 4) 1*3*6, (0.5, 2, 1) 1*4*5,
+        # (2, 0.5, 1) 2*3*5, (2, 2, 0.25) 2*4*7; to less than 1: 15 + 21 + 28 + 42
+        a = msr.PointMasses([(1.0, 0.5), (2.0, 2.0)])
+        b = msr.PointMasses([(3.0, 0.5), (4.0, 2.0)])
+        c = msr.PointMasses([(5.0, 1.0), (6.0, 4.0), (7.0, 0.25)])
+        mellin = msr.MellinConvolution
+        for conv in (mellin(mellin(a, b), c), mellin(a, mellin(b, c)), mellin(c, mellin(b, a))):
+            assert conv.mass_at(1.0) == 124.0
+            assert conv.mass_below(1.0) == 106.0
+        assert mellin(msr.Scaled(0.5, mellin(a, b)), c).mass_at(1.0) == 62.0
+
     def test_duplicate_atoms_merged(self):
         m = msr.PointMasses([(1.0, 2.0), (2.0, 2.0), (1.0, 1.0)])
         assert m.atoms == ((1.0, 1.0), (3.0, 2.0))
+
+
+def bump() -> msr.Density:
+    return msr.Density(lambda t: 1.0, (0.5, 1.0))
+
+
+class TestProductMassBelowOne:
+    """Products with an atomless factor, in both orders; exact values from dt-integrals."""
+
+    def test_bump_and_hardy(self):
+        # integral over (1/2, 1) of log(1/r) dr
+        for conv in (msr.MellinConvolution(bump(), msr.hardy_measure()),
+                     msr.MellinConvolution(msr.hardy_measure(), bump())):
+            assert conv.mass_below(1.0) == pytest.approx(0.5 - 0.5 * math.log(2.0), rel=1e-12)
+            assert conv.mass_at(1.0) == 0.0
+
+    def test_atom_and_two_hardy_factors(self):
+        # hardy * hardy has mass (log x)**2 / 2 below x; the atom reads it at x = 2, weight 1/2
+        mellin, d, h = msr.MellinConvolution, msr.dirac(0.5), msr.hardy_measure()
+        for conv in (mellin(mellin(d, h), h), mellin(mellin(h, d), h), mellin(h, mellin(h, d)),
+                     mellin(d, mellin(h, h)), mellin(mellin(h, h), d)):
+            rep = msr.support_report(conv)
+            assert rep.mass_below_1 == pytest.approx(math.log(2.0) ** 2 / 4.0, rel=1e-12)
+            assert rep.mass_at_1 == 0.0
+
+    def test_beta_and_bump(self):
+        # integral over (1/2, 1) of (log(1/r) + r - 1) dr, the beta:2:2 mass below 1/r
+        beta = msr.BetaTailDensity(2.0, 2.0)
+        one = msr.MellinConvolution(beta, bump()).mass_below(1.0)
+        other = msr.MellinConvolution(bump(), beta).mass_below(1.0)
+        assert one == pytest.approx(other, rel=1e-12)
+        assert one == pytest.approx(0.375 - 0.5 * math.log(2.0), rel=1e-10)
 
 
 class TestNormalize:
