@@ -101,7 +101,7 @@ class MomentSequence:
 
 
 class MeasureSpec:
-    """Base class for symbolic measure descriptions."""
+    """Base class for symbolic measure descriptions; its defaults describe an atomless one."""
 
     # -- structure ---------------------------------------------------------
 
@@ -111,7 +111,7 @@ class MeasureSpec:
 
     @property
     def has_atoms(self) -> bool:
-        raise NotImplementedError
+        return False
 
     def mass_below(self, x: float) -> float:
         """mu((0, x)), exact where the structure allows."""
@@ -119,7 +119,14 @@ class MeasureSpec:
 
     def mass_at(self, x: float) -> float:
         """mu({x}); nonzero only for atomic parts."""
-        raise NotImplementedError
+        return 0.0
+
+    def sum_atoms(self, g, x: float) -> float:
+        """sum of lam * g(x / t) over the atoms (lam, t).
+
+        Masses look up atoms by exact position: x * (1/t) can miss one, as 0.1 * 0.1 != 0.01.
+        """
+        return 0.0
 
     # -- integrals ---------------------------------------------------------
 
@@ -129,9 +136,10 @@ class MeasureSpec:
         The operator's action at z is ``integrate(lambda s: f(z * s))``.  Atoms are
         summed, densities go through quad per real and imaginary part, and the beta
         tail's rule samples the ends of (0, 1), so h may be called at s = 0.  A
-        product's support masses integrate one factor's mass function over the other
-        factor, the atomic one outside: its sum is exact there, while an atomic inner
-        factor would hand quadrature a step function.
+        product of two atomless factors integrates one factor's mass function over
+        the other with it; an atomic factor is the outer one and goes through
+        ``sum_atoms`` instead: its sum is exact there, while an atomic inner factor
+        would hand quadrature a step function.
         """
         raise NotImplementedError
 
@@ -244,6 +252,9 @@ class PointMasses(MeasureSpec):
     def integrate(self, h):
         return sum((lam / t) * h(1.0 / t) for lam, t in self.atoms)
 
+    def sum_atoms(self, g, x: float) -> float:
+        return sum(lam * g(x / t) for lam, t in self.atoms)
+
     def _log_masses(self, exponents: np.ndarray) -> np.ndarray:
         """log integral of t**e dmu(t)/t per e, a block of rows of (e x atoms) at a time."""
         log_lam, log_t = np.log(self.atoms).T
@@ -317,19 +328,12 @@ class PowerTailDensity(MeasureSpec):
     def inf_support(self) -> float:
         return 1.0
 
-    @property
-    def has_atoms(self) -> bool:
-        return False
-
     def mass_below(self, x: float) -> float:
         if x <= 1.0:
             return 0.0
         if self.a == 1.0:
             return math.log(x)
         return (1.0 - x ** (1.0 - self.a)) / (self.a - 1.0)
-
-    def mass_at(self, x: float) -> float:
-        return 0.0
 
     def integrate(self, h):
         # in u = log t the density e**(-a u) stays in log form, inside double range
@@ -393,10 +397,6 @@ class BetaTailDensity(MeasureSpec):
     def inf_support(self) -> float:
         return 1.0
 
-    @property
-    def has_atoms(self) -> bool:
-        return False
-
     def mass_below(self, x: float) -> float:
         if x <= 1.0:
             return 0.0
@@ -404,9 +404,6 @@ class BetaTailDensity(MeasureSpec):
             lambda t: (t - 1.0) ** (self.b - 1.0) * t**-self.a, 1.0, x
         )
         return val
-
-    def mass_at(self, x: float) -> float:
-        return 0.0
 
     def integrate(self, h):
         # s = 1/t turns (t-1)**(b-1) t**-a dt/t on (1, inf) into s**(a-b) (1-s)**(b-1) ds
@@ -508,10 +505,18 @@ def _log_substituted_quad(phi, lo: float, hi: float, exponent: float = 1.0):
 
 
 def _complex_quad(func, lo, hi, **weight):
-    """integral of a real or complex func over (lo, hi), one quad per part."""
+    """integral of a real or complex func over (lo, hi), one quad per part (one if real)."""
     kw = dict(epsabs=1e-300, epsrel=1e-11, limit=400, **weight)
-    re, _ = integrate.quad(lambda u: func(u).real, lo, hi, **kw)
-    im, _ = integrate.quad(lambda u: func(u).imag, lo, hi, **kw)
+    is_complex = False
+
+    def real_part(u):
+        nonlocal is_complex
+        value = func(u)
+        is_complex = is_complex or np.iscomplexobj(value)
+        return value.real
+
+    re, _ = integrate.quad(real_part, lo, hi, **kw)
+    im = integrate.quad(lambda u: func(u).imag, lo, hi, **kw)[0] if is_complex else 0.0
     return complex(re, im)
 
 
@@ -536,19 +541,12 @@ class Density(MeasureSpec):
     def inf_support(self) -> float:
         return self.support[0]
 
-    @property
-    def has_atoms(self) -> bool:
-        return False
-
     def mass_below(self, x: float) -> float:
         lo, hi = self.support
         if x <= lo:
             return 0.0
         val, _ = _log_substituted_quad(self.phi, lo, min(hi, x))
         return val
-
-    def mass_at(self, x: float) -> float:
-        return 0.0
 
     def integrate(self, h):
         # phi(e**u) stays in double range only while a Density with hi = inf fails to
@@ -603,15 +601,18 @@ class MellinConvolution(MeasureSpec):
         outer, inner = self.left, self.right
         if inner.has_atoms and not outer.has_atoms:
             outer, inner = inner, outer
+        if outer.has_atoms:
+            return outer.sum_atoms(inner.mass_below, x)
         return outer.integrate(lambda s: inner.mass_below(x * s) / s if s else 0.0).real
 
     def mass_at(self, x: float) -> float:
-        if not self.has_atoms:
-            return 0.0
-        return self.left.integrate(lambda s: self.right.mass_at(x * s) / s if s else 0.0).real
+        return self.left.sum_atoms(self.right.mass_at, x)
 
     def integrate(self, h):
         return self.left.integrate(lambda s: self.right.integrate(lambda r: h(s * r)))
+
+    def sum_atoms(self, g, x: float) -> float:
+        return self.left.sum_atoms(lambda y: self.right.sum_atoms(g, y), x)
 
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         lv, lt = self.left.weighted_mass(exponent)
@@ -680,6 +681,9 @@ class Scaled(MeasureSpec):
 
     def integrate(self, h):
         return self.c * self.inner.integrate(h)
+
+    def sum_atoms(self, g, x: float) -> float:
+        return self.c * self.inner.sum_atoms(g, x)
 
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         val, tag = self.inner.weighted_mass(exponent)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fockhaus import harness
+from fockhaus import classify, harness
 from fockhaus import measure as msr
 
 
@@ -124,6 +124,18 @@ class TestSupportReport:
             assert conv.mass_at(1.0) == 124.0
             assert conv.mass_below(1.0) == 106.0
         assert mellin(msr.Scaled(0.5, mellin(a, b)), c).mass_at(1.0) == 62.0
+
+    @pytest.mark.parametrize("positions", [(10.0, 10.0, 0.01), (3.0, 3.0, 1.0 / 9.0)])
+    def test_identity_from_atoms_off_the_binary_grid(self, positions):
+        # each product is delta_1 in any nesting; 0.1 * 0.1 misses 0.01 by one rounding,
+        # so the atom at 1 is found by dividing by the positions, not by their reciprocals
+        a, b, c = (msr.dirac(t) for t in positions)
+        mellin = msr.MellinConvolution
+        identity = classify.classify_compact(msr.dirac(1.0)).verdict
+        for conv in (mellin(a, mellin(b, c)), mellin(mellin(a, b), c), mellin(c, mellin(b, a))):
+            assert conv.mass_at(1.0) == pytest.approx(1.0, rel=1e-15)
+            assert conv.mass_below(1.0) == 0.0
+            assert classify.classify_compact(conv).verdict == identity
 
     def test_duplicate_atoms_merged(self):
         m = msr.PointMasses([(1.0, 2.0), (2.0, 2.0), (1.0, 1.0)])
