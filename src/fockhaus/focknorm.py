@@ -14,6 +14,7 @@ exponentiated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,8 +59,12 @@ class QuadratureConfig:
     """Tunables for the quadrature routes.
 
     angle_nodes is the starting angular resolution of finite-p means
-    (default 4*(degree+1), at least 64); it is doubled until the circle mean
-    is stable to abs_tol in the log or max_angle_nodes is reached.  The
+    (default 4*(degree+1), at least 64).  Each doubling adds the midpoints of
+    the previous level, until the circle mean is stable to abs_tol in the log
+    or the count first reaches max_angle_nodes, so the last level can hold
+    almost twice max_angle_nodes angles; rows still unsettled then are
+    Aitken-extrapolated.  Even integer p stops at the first level once it
+    exceeds (p/2)*degree, where that level is exact.  The
     radial rule is composite Gauss-Legendre on [0, R] with
     R = sqrt(2*(degree+40)/(alpha*min(p,q,1))).
 
@@ -85,6 +90,14 @@ def radial_cutoff(degree: int, p_min: float, alpha: float) -> float:
     return math.sqrt(2.0 * (degree + 40.0) / (alpha * eff))
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(order), computed once per order and shared read-only."""
+    x, w = leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gl_panels(R: float, width: float, order: int):
     """Graded composite Gauss-Legendre nodes/weights on [0, R].
 
@@ -99,7 +112,7 @@ def _gl_panels(R: float, width: float, order: int):
     while edges[-1] < R:
         edges.append(min(edges[-1] + width, R))
     edges = np.asarray(edges)
-    x, w = leggauss(order)
+    x, w = _gauss_legendre(order)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -145,28 +158,39 @@ def _scaled_rows(coeffs: np.ndarray, radii: np.ndarray):
 
 def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
                 cfg: QuadratureConfig) -> np.ndarray:
-    """log M_p(f, r) for finite p != 2 via FFT power means with refinement.
+    """log M_p(f, r) for finite p != 2 via FFT power means with nested refinement.
 
-    The angle count doubles until the mean is stable; if the cap is reached
-    (a zero of f close to a sampled circle gives algebraic convergence) the
-    last three levels are Aitken-extrapolated, which removes the leading
-    K**-s error term.
+    Each row carries its running sum of |g|**p over the K angles so far.  The
+    2K-node trapezoid rule is the K-node rule plus the K midpoints, and those
+    are g(theta + pi/K), one length-K FFT of s_n e^{-i pi n/K} (K >= deg + 1),
+    so a doubling transforms only the new nodes.  Rows double until the mean
+    is stable to abs_tol in the log; doubling stops at the first K >=
+    max_angle_nodes, and rows still unsettled there (a zero of f close to a
+    sampled circle gives algebraic convergence) are Aitken-extrapolated from
+    the last three levels, which removes the leading K**-s error term.  For
+    an even integer p with K > (p/2)*deg, |g|**p is a trigonometric
+    polynomial the first level integrates exactly, so no row refines.
     """
     deg = len(coeffs) - 1
     scaled, L = _scaled_rows(coeffs, radii)
     K = cfg.angle_nodes or max(64, 4 * (deg + 1))
     K = max(K, deg + 1)
+    n = np.arange(deg + 1)
 
-    def means_at(block: np.ndarray, k: int) -> np.ndarray:
-        vals = np.fft.fft(block, n=k, axis=1)
-        return _log_pos(np.mean(np.abs(vals) ** p, axis=1)) / p
+    def power_sums(block: np.ndarray, k: int) -> np.ndarray:
+        return np.sum(np.abs(np.fft.fft(block, n=k, axis=1)) ** p, axis=1)
 
-    out = means_at(scaled, K) + L
+    sums = power_sums(scaled, K)
+    out = _log_pos(sums / K) / p + L
+    if p % 2 == 0 and K > p / 2 * deg:
+        return out
     active = np.ones(len(radii), dtype=bool)
     hist = [np.full_like(out, np.nan), np.full_like(out, np.nan), out.copy()]
     while active.any() and K < cfg.max_angle_nodes:
+        midpoints = scaled[active] * np.exp(-1j * math.pi * n / K)
+        sums[active] += power_sums(midpoints, K)
         K *= 2
-        cur = means_at(scaled[active], K) + L[active]
+        cur = _log_pos(sums[active] / K) / p + L[active]
         hist = [h.copy() for h in hist[1:]] + [hist[-1].copy()]
         hist[-1][active] = cur
         out[active] = cur

@@ -505,18 +505,24 @@ def _log_substituted_quad(phi, lo: float, hi: float, exponent: float = 1.0):
 
 
 def _complex_quad(func, lo, hi, **weight):
-    """integral of a real or complex func over (lo, hi), one quad per part (one if real)."""
+    """integral of a real or complex func over (lo, hi), one quad per part (one if real).
+
+    func is evaluated once per node: the imaginary pass reads the values the real
+    pass stored at the nodes they share.
+    """
     kw = dict(epsabs=1e-300, epsrel=1e-11, limit=400, **weight)
-    is_complex = False
+    values = {}
 
-    def real_part(u):
-        nonlocal is_complex
-        value = func(u)
-        is_complex = is_complex or np.iscomplexobj(value)
-        return value.real
+    def at(u):
+        value = values.get(u)
+        if value is None:
+            value = values[u] = func(u)
+        return value
 
-    re, _ = integrate.quad(real_part, lo, hi, **kw)
-    im = integrate.quad(lambda u: func(u).imag, lo, hi, **kw)[0] if is_complex else 0.0
+    re, _ = integrate.quad(lambda u: at(u).real, lo, hi, **kw)
+    if not any(np.iscomplexobj(v) for v in values.values()):
+        return complex(re, 0.0)
+    im, _ = integrate.quad(lambda u: at(u).imag, lo, hi, **kw)
     return complex(re, im)
 
 

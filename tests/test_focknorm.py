@@ -208,6 +208,107 @@ class TestSupMaximiser:
                     mixed_norm(f, FockParams(p, INF, 1.0))
 
 
+def full_recompute_log_mean_p(coeffs, p, radii, cfg):
+    """The finite-p mean that transforms all 2K angles at every doubling.
+
+    Returns the log means and the mask of rows that reached the cap.
+    """
+    deg = len(coeffs) - 1
+    scaled, L = focknorm._scaled_rows(coeffs, radii)
+    K = max(cfg.angle_nodes or max(64, 4 * (deg + 1)), deg + 1)
+
+    def means_at(block, k):
+        vals = np.fft.fft(block, n=k, axis=1)
+        return focknorm._log_pos(np.mean(np.abs(vals) ** p, axis=1)) / p
+
+    out = means_at(scaled, K) + L
+    active = np.ones(len(radii), dtype=bool)
+    hist = [np.full_like(out, np.nan), np.full_like(out, np.nan), out.copy()]
+    while active.any() and K < cfg.max_angle_nodes:
+        K *= 2
+        cur = means_at(scaled[active], K) + L[active]
+        hist = [h.copy() for h in hist[1:]] + [hist[-1].copy()]
+        hist[-1][active] = cur
+        out[active] = cur
+        with np.errstate(invalid="ignore"):
+            diff = np.abs(hist[-1] - hist[-2])
+        diff[~np.isfinite(diff)] = 0.0
+        active &= diff > cfg.abs_tol * 10
+    if active.any():
+        m1, m2, m3 = (h[active] for h in hist)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            denom = m3 - 2.0 * m2 + m1
+            corr = np.where(np.abs(denom) > 1e-300, (m3 - m2) ** 2 / denom, 0.0)
+        corr[~np.isfinite(corr)] = 0.0
+        out[active] = m3 - corr
+    return out, active
+
+
+@pytest.fixture
+def fft_work(monkeypatch):
+    """Records (rows, length) of every np.fft.fft call."""
+    calls = []
+    fft = np.fft.fft
+
+    def counted(a, n=None, axis=-1):
+        calls.append((a.shape[0], n))
+        return fft(a, n=n, axis=axis)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    return calls
+
+
+class TestNestedRefinement:
+    cfg = focknorm.DEFAULT_CFG
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
+    def test_matches_full_recompute(self, p):
+        rng = np.random.default_rng(23)
+        capped = 0
+        for degree in (1, 5, 17, 40):
+            f = rand_poly(rng, degree)
+            radii = np.linspace(0.0, 4.0, 81)
+            got = focknorm._log_mean_p(f.coeffs, p, radii, self.cfg)
+            want, at_cap = full_recompute_log_mean_p(f.coeffs, p, radii, self.cfg)
+            np.testing.assert_allclose(got[~at_cap], want[~at_cap], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got[at_cap], want[at_cap], rtol=0, atol=1e-6)
+            capped += at_cap.sum()
+        if p < 1:
+            assert capped > 0  # the Aitken rows are exercised too
+
+    @pytest.mark.parametrize("p", [4, 6, 8])
+    def test_even_p_is_one_exact_level(self, p, fft_work):
+        rng = np.random.default_rng(29)
+        for degree in (3, 12, 30):
+            f = rand_poly(rng, degree)
+            power = np.array([1.0 + 0j])
+            for _ in range(p // 2):
+                power = np.convolve(power, f.coeffs)
+            radii = np.array([0.0, 0.3, 1.0, 1.8, 2.5])
+            # M_p(f, r)**p = M_2(f**(p/2), r)**2 = sum |b_n|**2 r**(2n)
+            parseval = np.array(
+                [np.sum(np.abs(power) ** 2 * r ** (2.0 * np.arange(len(power)))) for r in radii]
+            )
+            fft_work.clear()
+            got = focknorm._log_mean_p(f.coeffs, float(p), radii, self.cfg)
+            assert len(fft_work) == 1
+            np.testing.assert_allclose(got, np.log(parseval) / p, rtol=0, atol=1e-13)
+
+    def test_midpoints_halve_the_transform_work(self, fft_work):
+        f = entire.kernel(2.0, 5.0)
+        got = fock_norm(f, 0.5, 1.0)
+        nested = sum(rows * n for rows, n in fft_work)
+        fft_work.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                focknorm, "_log_mean_p", lambda *args: full_recompute_log_mean_p(*args)[0]
+            )
+            want = fock_norm(f, 0.5, 1.0)
+        full = sum(rows * n for rows, n in fft_work)
+        assert nested <= 0.6 * full
+        assert got == pytest.approx(want, rel=1e-6)
+
+
 class TestKernelNormClosed:
     def test_center_zero(self):
         assert kernel_norm_closed(1.0, 0.0, 2.0, 1.0) == 1.0

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -172,6 +173,67 @@ class TestProductMassBelowOne:
         other = msr.MellinConvolution(bump(), beta).mass_below(1.0)
         assert one == pytest.approx(other, rel=1e-12)
         assert one == pytest.approx(0.375 - 0.5 * math.log(2.0), rel=1e-10)
+
+
+def two_pass_complex_quad(func, lo, hi, **weight):
+    """The quad pair that calls func afresh on the imaginary pass."""
+    kw = dict(epsabs=1e-300, epsrel=1e-11, limit=400, **weight)
+    is_complex = False
+
+    def real_part(u):
+        nonlocal is_complex
+        value = func(u)
+        is_complex = is_complex or np.iscomplexobj(value)
+        return value.real
+
+    re, _ = integrate.quad(real_part, lo, hi, **kw)
+    im = integrate.quad(lambda u: func(u).imag, lo, hi, **kw)[0] if is_complex else 0.0
+    return complex(re, im)
+
+
+def cubic(s):
+    z = (0.9 + 0.6j) * s
+    return 0.4 - 0.3j + z * (1.1 + z * (0.2j + 0.7 * z))
+
+
+class TestComplexQuad:
+    """Each node is evaluated once, and the values are those of the two-pass quad."""
+
+    @pytest.mark.parametrize("measure", [
+        msr.PowerTailDensity(1.5),
+        msr.MellinConvolution(msr.hardy_measure(), msr.hardy_measure()),
+    ], ids=["power-tail", "hardy-hardy"])
+    def test_one_call_per_node_and_same_values(self, measure, monkeypatch):
+        got = measure.integrate(cubic)
+        with monkeypatch.context() as mp:
+            mp.setattr(msr, "_complex_quad", two_pass_complex_quad)
+            want = measure.integrate(cubic)
+        assert got == want and got.imag != 0.0
+
+        calls_per_quad = []
+        memoised = msr._complex_quad
+
+        def counted(func, lo, hi, **weight):
+            calls = collections.Counter()
+            calls_per_quad.append(calls)
+
+            def counting(u):
+                calls[u] += 1
+                return func(u)
+
+            return memoised(counting, lo, hi, **weight)
+
+        monkeypatch.setattr(msr, "_complex_quad", counted)
+        assert measure.integrate(cubic) == got
+        assert calls_per_quad and all(max(calls.values()) == 1 for calls in calls_per_quad)
+
+    def test_real_integrand_takes_one_quad(self, monkeypatch):
+        passes = []
+        quad = integrate.quad
+        monkeypatch.setattr(integrate, "quad", lambda *a, **kw: passes.append(1) or quad(*a, **kw))
+        value = msr._complex_quad(lambda u: math.exp(-2.0 * u), 0.0, np.inf)
+        assert value == pytest.approx(0.5, rel=1e-13) and value.imag == 0.0
+        assert len(passes) == 1
 
 
 class TestNormalize:
