@@ -12,7 +12,6 @@ from .entire import (
 from .focknorm import (
     INF,
     FockParams,
-    QuadratureConfig,
     circle_mean,
     coeff_weighted_lp,
     fock_norm,

@@ -29,9 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .focknorm import INF, _check_exponent
-from .hausdorff import HausdorffOperator
 from .measure import (
-    CLOSED_FORM,
     DivergentMoment,
     MeasureSpec,
     normalize,
@@ -105,30 +103,18 @@ QUAD_BACKED_HORIZON = 256
 DIVERGENCE_CUTOFF = 1e20  # a partial sum or prefix sup past this ends the scan
 
 
-def _as_operator(term) -> tuple:
-    """(operator, upper, lower, horizon_cap) of a measure, an operator or such a tuple."""
-    if isinstance(term, tuple):
-        return term
-    if not isinstance(term, HausdorffOperator):
-        term = HausdorffOperator(term)
-    m = term.measure
-    cap = None if term.method == CLOSED_FORM else QUAD_BACKED_HORIZON
-    return term, m.decay_upper(), m.decay_lower(), cap
+def _horizon(m: MeasureSpec, n_terms: int, uncapped: int) -> int:
+    """Terms a scan may read: quadrature-backed moments stop at QUAD_BACKED_HORIZON."""
+    return min(n_terms, uncapped if m.closed_form else QUAD_BACKED_HORIZON)
 
 
-def _prelude(term, n_terms: int, uncapped: int) -> tuple:
-    """(operator, upper, lower, horizon), shared by the two verdicts."""
-    op, up, lo, cap = _as_operator(term)
-    return op, up, lo, min(n_terms, uncapped if cap is None else cap)
-
-
-def _scan(op: HausdorffOperator, power: float, w: float, horizon: int, accumulate, stop):
-    """Accumulate mu_n**power (n+1)**w over n = 0..horizon, one chunk of the operator's
+def _scan(m: MeasureSpec, power: float, w: float, horizon: int, accumulate, stop):
+    """Accumulate mu_n**power (n+1)**w over n = 0..horizon, one chunk of the measure's
     log-moments at a time: (value, n) at the first n where stop(terms, values) holds,
     else (value, horizon).  A term past double range is inf, without a warning."""
     value, n = 0.0, 0
     while n <= horizon:
-        log_mu = op.log_moments(n)[n : horizon + 1]
+        log_mu = m.log_moments(n)[n : horizon + 1]
         with np.errstate(over="ignore"):
             terms = np.exp(power * log_mu + w * np.log(np.arange(n, n + len(log_mu)) + 1.0))
         values = accumulate(np.append(value, terms))[1:]  # left to right, as a loop would
@@ -157,19 +143,19 @@ def _power_tail(C: float, v: float, N: int) -> float:
 
 
 def series_verdict(
-    term,
+    m: MeasureSpec,
     weight_exponent: float = 0.0,
     power: float = 1.0,
     n_terms: int = 10_000,
 ) -> SeriesVerdict:
     """Certified verdict on sum over n of mu_n**power * (n+1)**weight_exponent.
 
-    ``term`` is a measure or an operator; its measure supplies the decay
-    certificates.
+    The measure supplies the decay certificates and the moments, which it
+    keeps, so the verdicts of one measure share its moment computations.
     """
     if not power > 0:
         raise ValueError("power must be > 0")
-    op, up, lo, horizon = _prelude(term, n_terms, n_terms)
+    up, lo, horizon = m.decay_upper(), m.decay_lower(), _horizon(m, n_terms, n_terms)
 
     outcome, tail, witness = "unknown", None, None
     if up is not None:
@@ -197,7 +183,7 @@ def series_verdict(
             outcome = "diverges"
             witness = f"terms dominate the divergent p-series (n+1)^{v:g}"
 
-    partial, used = _scan(op, power, weight_exponent, horizon, np.cumsum, lambda t, s: (
+    partial, used = _scan(m, power, weight_exponent, horizon, np.cumsum, lambda t, s: (
         (t < 1e-18 * s) | (s > DIVERGENCE_CUTOFF)))
     return SeriesVerdict(
         series_id=f"series[mu^{power:g}*(n+1)^{weight_exponent:g}]",
@@ -213,12 +199,12 @@ def series_verdict(
 
 
 def sup_verdict(
-    term,
+    m: MeasureSpec,
     weight_exponent: float = 0.0,
     n_terms: int = 10_000,
 ) -> SeriesVerdict:
     """Certified verdict on sup over n of mu_n * (n+1)**weight_exponent."""
-    op, up, lo, horizon = _prelude(term, n_terms, 2048)
+    up, lo, horizon = m.decay_upper(), m.decay_lower(), _horizon(m, n_terms, 2048)
 
     outcome, bound, witness = "unknown", None, None
     if up is not None:
@@ -242,7 +228,7 @@ def sup_verdict(
             witness = "terms grow without bound under the lower envelope"
 
     # a bounded scan runs to its horizon, or the reported bound would be no bound
-    prefix, horizon = _scan(op, 1.0, weight_exponent, horizon, np.maximum.accumulate,
+    prefix, horizon = _scan(m, 1.0, weight_exponent, horizon, np.maximum.accumulate,
                             lambda t, s: (s > DIVERGENCE_CUTOFF) & (outcome == "unbounded"))
     if bound is not None:
         bound = max(bound, prefix)
@@ -500,13 +486,13 @@ def _suff_nec_verdict(suff: list[SeriesVerdict], nec: list[SeriesVerdict]) -> Ve
     return Verdict.INCONCLUSIVE
 
 
-def _condition(src: tuple, m: MeasureSpec, cid: str, cond, p, q) -> SeriesVerdict:
+def _condition(m: MeasureSpec, cid: str, cond, p, q) -> SeriesVerdict:
     """Evaluate one (kind, power, weight_exponent) condition of criterion cid."""
     kind, power, w = (f(p, q) if callable(f) else f for f in cond)
     if kind == "series":
-        return series_verdict(src, weight_exponent=w, power=power)
+        return series_verdict(m, weight_exponent=w, power=power)
     if kind == "sup":
-        return sup_verdict(src, weight_exponent=w)
+        return sup_verdict(m, weight_exponent=w)
     try:  # "mass": the integral of t**w dmu(t)/t
         integral, _ = m.weighted_mass(w)
     except DivergentMoment:
@@ -519,12 +505,12 @@ def _condition(src: tuple, m: MeasureSpec, cid: str, cond, p, q) -> SeriesVerdic
     )
 
 
-def _report(c: Criterion, src: tuple, m: MeasureSpec, p, q, extra: dict, notice: list):
+def _report(c: Criterion, m: MeasureSpec, p, q, extra: dict, notice: list):
     """One criterion's report: its conditions evaluated, its verdict and evidence rows."""
     params = {"p": p, "q": q, **extra, "criterion": c.id}
     params |= {} if c.target is None else {"target": c.target}
-    suff = [_condition(src, m, c.id, cond, p, q) for cond in c.suff]
-    nec = [_condition(src, m, c.id, cond, p, q) for cond in c.nec]
+    suff = [_condition(m, c.id, cond, p, q) for cond in c.suff]
+    nec = [_condition(m, c.id, cond, p, q) for cond in c.nec]
     if c.iff:
         return ClassReport(c.question, _IFF_VERDICT[suff[0].outcome], params,
                            notice + [suff[0].as_dict()])
@@ -557,8 +543,7 @@ def _evaluate(question: str, m: MeasureSpec, p: float, q: float, criteria, extra
     if not criteria:
         return []
     mn, notice = _normalized_with_notice(m)
-    src = _as_operator(mn)
-    return [_report(table[cid], src, mn, p, q, extra, notice) for cid in criteria]
+    return [_report(table[cid], mn, p, q, extra, notice) for cid in criteria]
 
 
 def smoothing_criteria(

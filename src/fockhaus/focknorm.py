@@ -26,6 +26,11 @@ from .entire import CoeffFunction
 
 INF = float("inf")
 
+MIN_ANGLE_NODES = 64  # finite-p means start at max(64, 4*(degree+1)) angles
+MAX_ANGLE_NODES = 8192  # finite-p doubling stops at the first level >= this
+ABS_TOL = 1e-12  # a finite-p mean stable to this in the log stops doubling
+GL_ORDER = 24  # Gauss-Legendre nodes per radial panel
+SUP_GRID = 512  # radii of the radial sup's first grid
 _ANGLE_EVALS = 4  # per p = inf circle maximum: the grid angle, then 3 Newton steps
 _SUP_ROUNDS = 6  # bracket rounds of the radial sup, each 8-fold narrower
 
@@ -52,36 +57,6 @@ class FockParams:
         _check_exponent(self.q, "q")
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError("alpha must be a positive finite real")
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tunables for the quadrature routes.
-
-    angle_nodes is the starting angular resolution of finite-p means
-    (default 4*(degree+1), at least 64).  Each doubling adds the midpoints of
-    the previous level, until the circle mean is stable to abs_tol in the log
-    or the count first reaches max_angle_nodes, so the last level can hold
-    almost twice max_angle_nodes angles; rows still unsettled then are
-    Aitken-extrapolated.  Even integer p stops at the first level once it
-    exceeds (p/2)*degree, where that level is exact.  The
-    radial rule is composite Gauss-Legendre on [0, R] with
-    R = sqrt(2*(degree+40)/(alpha*min(p,q,1))).
-
-    The p = inf circle maximum polishes the best of max(64, 8*(degree+1))
-    FFT angles by Newton steps; the radial sup refines the best of sup_grid
-    radii by rounds of 17 radii, each bracket 8-fold narrower.  Either
-    maximum is the largest value evaluated, so never below its grid maximum.
-    """
-
-    angle_nodes: int | None = None
-    gl_order: int = 24
-    abs_tol: float = 1e-12
-    max_angle_nodes: int = 8192
-    sup_grid: int = 512
-
-
-DEFAULT_CFG = QuadratureConfig()
 
 
 def radial_cutoff(degree: int, p_min: float, alpha: float) -> float:
@@ -156,25 +131,25 @@ def _scaled_rows(coeffs: np.ndarray, radii: np.ndarray):
     return scaled * phases[None, :], L
 
 
-def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
-                cfg: QuadratureConfig) -> np.ndarray:
+def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray) -> np.ndarray:
     """log M_p(f, r) for finite p != 2 via FFT power means with nested refinement.
 
-    Each row carries its running sum of |g|**p over the K angles so far.  The
-    2K-node trapezoid rule is the K-node rule plus the K midpoints, and those
-    are g(theta + pi/K), one length-K FFT of s_n e^{-i pi n/K} (K >= deg + 1),
-    so a doubling transforms only the new nodes.  Rows double until the mean
-    is stable to abs_tol in the log; doubling stops at the first K >=
-    max_angle_nodes, and rows still unsettled there (a zero of f close to a
-    sampled circle gives algebraic convergence) are Aitken-extrapolated from
-    the last three levels, which removes the leading K**-s error term.  For
+    The first level has K = max(MIN_ANGLE_NODES, 4*(deg+1)) angles.  Each row
+    carries its running sum of |g|**p over the K angles so far.  The 2K-node
+    trapezoid rule is the K-node rule plus the K midpoints, and those are
+    g(theta + pi/K), one length-K FFT of s_n e^{-i pi n/K} (K >= deg + 1), so
+    a doubling transforms only the new nodes.  Rows double until the mean is
+    stable to ABS_TOL in the log; doubling stops at the first K >=
+    MAX_ANGLE_NODES, so the last level can hold almost twice that many
+    angles, and rows still unsettled there (a zero of f close to a sampled
+    circle gives algebraic convergence) are Aitken-extrapolated from the
+    last three levels, which removes the leading K**-s error term.  For
     an even integer p with K > (p/2)*deg, |g|**p is a trigonometric
     polynomial the first level integrates exactly, so no row refines.
     """
     deg = len(coeffs) - 1
     scaled, L = _scaled_rows(coeffs, radii)
-    K = cfg.angle_nodes or max(64, 4 * (deg + 1))
-    K = max(K, deg + 1)
+    K = max(MIN_ANGLE_NODES, 4 * (deg + 1))
     n = np.arange(deg + 1)
 
     def power_sums(block: np.ndarray, k: int) -> np.ndarray:
@@ -186,7 +161,7 @@ def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
         return out
     active = np.ones(len(radii), dtype=bool)
     hist = [np.full_like(out, np.nan), np.full_like(out, np.nan), out.copy()]
-    while active.any() and K < cfg.max_angle_nodes:
+    while active.any() and K < MAX_ANGLE_NODES:
         midpoints = scaled[active] * np.exp(-1j * math.pi * n / K)
         sums[active] += power_sums(midpoints, K)
         K *= 2
@@ -197,7 +172,7 @@ def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
         with np.errstate(invalid="ignore"):
             diff = np.abs(hist[-1] - hist[-2])
         diff[~np.isfinite(diff)] = 0.0
-        active &= diff > cfg.abs_tol * 10
+        active &= diff > ABS_TOL * 10
     if active.any():
         # cap reached on rows with algebraically converging means (a zero of f
         # near the circle): Aitken-extrapolate the last three levels
@@ -221,15 +196,16 @@ def _log_mean_2(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return 0.5 * logsumexp(log_terms, axis=1)
 
 
-def _log_mean_inf(coeffs: np.ndarray, radii: np.ndarray,
-                  cfg: QuadratureConfig) -> np.ndarray:
+def _log_mean_inf(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """log M_inf(f, r): FFT grid maximum, then Newton polish of the angle.
 
-    np.fft.fft samples g(theta) = sum s_n e^{i n theta} at theta = -k*h, so
-    each row starts at the angle of its largest grid value.  Newton steps on
-    |g|^2 use g, g' and g'' (coefficients s_n, i n s_n, -n^2 s_n) from one
-    phase matrix per step and stay inside the +-h bracket around the start.
-    The result is the largest |g| evaluated, grid values included.
+    The grid has K = max(64, 8*(deg+1)) angles: np.fft.fft samples
+    g(theta) = sum s_n e^{i n theta} at theta = -k*h, so each row starts at
+    the angle of its largest grid value.  Newton steps on |g|^2 use g, g' and
+    g'' (coefficients s_n, i n s_n, -n^2 s_n) from one phase matrix per step
+    and stay inside the +-h bracket around the start.  The result is the
+    largest |g| evaluated, grid values included, so never below the grid
+    maximum.
     """
     deg = len(coeffs) - 1
     scaled, L = _scaled_rows(coeffs, radii)
@@ -253,39 +229,36 @@ def _log_mean_inf(coeffs: np.ndarray, radii: np.ndarray,
     return _log_pos(peak) + L
 
 
-def _log_circle_means(coeffs: np.ndarray, p: float, radii: np.ndarray,
-                      cfg: QuadratureConfig) -> np.ndarray:
+def _log_circle_means(coeffs: np.ndarray, p: float, radii: np.ndarray) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     if p == 2.0:
         return _log_mean_2(coeffs, radii)
     if p == INF:
-        return _log_mean_inf(coeffs, radii, cfg)
-    return _log_mean_p(coeffs, p, radii, cfg)
+        return _log_mean_inf(coeffs, radii)
+    return _log_mean_p(coeffs, p, radii)
 
 
-def circle_mean(f: CoeffFunction, p: float, r: float,
-                cfg: QuadratureConfig = DEFAULT_CFG) -> float:
+def circle_mean(f: CoeffFunction, p: float, r: float) -> float:
     """M_p(f, r).  p = 2 is Parseval-exact, p = inf is a polished maximum."""
     p = _check_exponent(p)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    return float(np.exp(_log_circle_means(f.coeffs, p, np.array([r]), cfg)[0]))
+    return float(np.exp(_log_circle_means(f.coeffs, p, np.array([r]))[0]))
 
 
-def _log_radial_sup(coeffs: np.ndarray, p: float, alpha: float,
-                    cfg: QuadratureConfig) -> float:
+def _log_radial_sup(coeffs: np.ndarray, p: float, alpha: float) -> float:
     """log sup_r M_p(f,r) * exp(-alpha r^2 / 2): radial grid, then bracket rounds.
 
-    The sup_grid radii on [0, R] are one batched circle-mean call.  Each of
+    The SUP_GRID radii on [0, R] are one batched circle-mean call.  Each of
     _SUP_ROUNDS further calls puts 17 radii on the bracket [r_{k-1}, r_{k+1}]
     around the best radius so far, shrinking it 8-fold.  The result is the
     largest weighted mean evaluated.
     """
     deg = len(coeffs) - 1
-    radii = np.linspace(0.0, radial_cutoff(deg, 1.0, alpha), cfg.sup_grid)
+    radii = np.linspace(0.0, radial_cutoff(deg, 1.0, alpha), SUP_GRID)
     best = -np.inf
     for _ in range(_SUP_ROUNDS + 1):
-        g = _log_circle_means(coeffs, p, radii, cfg) - alpha * radii**2 / 2.0
+        g = _log_circle_means(coeffs, p, radii) - alpha * radii**2 / 2.0
         k = int(np.argmax(g))
         best = max(best, float(g[k]))
         lo, hi = radii[max(k - 1, 0)], radii[min(k + 1, len(radii) - 1)]
@@ -293,14 +266,17 @@ def _log_radial_sup(coeffs: np.ndarray, p: float, alpha: float,
     return best
 
 
-def _log_radial_integral(coeffs: np.ndarray, p: float, q: float, alpha: float,
-                         cfg: QuadratureConfig) -> float:
-    """log of alpha*q * int_0^R M_p(f,r)**q e^{-alpha q r^2/2} r dr."""
+def _log_radial_integral(coeffs: np.ndarray, p: float, q: float, alpha: float) -> float:
+    """log of alpha*q * int_0^R M_p(f,r)**q e^{-alpha q r^2/2} r dr.
+
+    The rule is composite Gauss-Legendre (GL_ORDER nodes per panel) on [0, R],
+    R = sqrt(2*(degree+40)/(alpha*min(p,q,1))).
+    """
     deg = len(coeffs) - 1
     R = radial_cutoff(deg, min(p, q), alpha)
     width = min(0.5 / math.sqrt(alpha * q), R / 16.0)
-    nodes, weights = _gl_panels(R, width, cfg.gl_order)
-    log_m = _log_circle_means(coeffs, p, nodes, cfg)
+    nodes, weights = _gl_panels(R, width, GL_ORDER)
+    log_m = _log_circle_means(coeffs, p, nodes)
     with np.errstate(divide="ignore"):
         log_integrand = q * log_m + np.log(nodes) - alpha * q * nodes**2 / 2.0
     finite = np.isfinite(log_integrand)
@@ -321,8 +297,7 @@ def _log_norm_2_exact(coeffs: np.ndarray, alpha: float) -> float:
     return 0.5 * float(logsumexp(terms[finite]))
 
 
-def fock_norm(f: CoeffFunction, p: float, alpha: float,
-              cfg: QuadratureConfig = DEFAULT_CFG, method: str = "auto") -> float:
+def fock_norm(f: CoeffFunction, p: float, alpha: float, method: str = "auto") -> float:
     """||f||_{p,alpha}.
 
     method = "auto" uses the exact coefficient series at p = 2 and radial
@@ -335,22 +310,21 @@ def fock_norm(f: CoeffFunction, p: float, alpha: float,
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     if p == INF:
-        return float(np.exp(_log_radial_sup(f.coeffs, INF, alpha, cfg)))
+        return float(np.exp(_log_radial_sup(f.coeffs, INF, alpha)))
     if p == 2.0 and method == "auto":
         return float(np.exp(_log_norm_2_exact(f.coeffs, alpha)))
-    log_int = _log_radial_integral(f.coeffs, p, p, alpha, cfg)
+    log_int = _log_radial_integral(f.coeffs, p, p, alpha)
     return float(np.exp(log_int / p))
 
 
-def mixed_norm(f: CoeffFunction, params: FockParams,
-               cfg: QuadratureConfig = DEFAULT_CFG, method: str = "auto") -> float:
+def mixed_norm(f: CoeffFunction, params: FockParams, method: str = "auto") -> float:
     """||f||_{p,q,alpha}, with the q = inf branch returning the weighted sup."""
     p, q, alpha = params.p, params.q, params.alpha
     if p == q:
-        return fock_norm(f, p, alpha, cfg, method=method)
+        return fock_norm(f, p, alpha, method=method)
     if q == INF:
-        return float(np.exp(_log_radial_sup(f.coeffs, p, alpha, cfg)))
-    log_int = _log_radial_integral(f.coeffs, p, q, alpha, cfg)
+        return float(np.exp(_log_radial_sup(f.coeffs, p, alpha)))
+    log_int = _log_radial_integral(f.coeffs, p, q, alpha)
     return float(np.exp(log_int / q))
 
 

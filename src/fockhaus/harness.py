@@ -23,7 +23,6 @@ from .focknorm import (
     INF,
     FockParams,
     _log_circle_means,
-    DEFAULT_CFG,
     coeff_weighted_lp,
     fock_norm,
     log_monomial_norm,
@@ -291,8 +290,8 @@ def check_contraction_and_dilation(
     for f in corpus:
         hf = apply_spectral(op, f)
         for p in (0.5, 1.0, 2.0, INF):
-            lhs = _log_circle_means(hf.coeffs, p, radii, DEFAULT_CFG)
-            rhs = _log_circle_means(f.coeffs, p, radii, DEFAULT_CFG)
+            lhs = _log_circle_means(hf.coeffs, p, radii)
+            rhs = _log_circle_means(f.coeffs, p, radii)
             both = np.isfinite(lhs) & np.isfinite(rhs)
             margin = lhs[both] - rhs[both] - math.log1p(SLACK)
             trials += len(margin)
@@ -418,6 +417,20 @@ def _example_measures() -> dict[str, msr.MeasureSpec]:
     }
 
 
+# question -> verdict of a measure; the classify names are looked up at call time, so
+# a tracer that rebinds them sees these calls
+_EXAMPLE_QUESTIONS = {
+    "bounded": lambda m: classify.classify_bounded(m).verdict,
+    "compact": lambda m: classify.classify_compact(m).verdict,
+    "summing": lambda m: classify.summing_criteria(
+        m, criteria=["summing/absolutely-summing-iff"])[0].verdict,
+    "smoothing-sup-to-l1": lambda m: classify.smoothing_criteria(
+        m, p=1.0, q=INF, criteria=["smoothing/sup-to-l1"])[0].verdict,
+    "smoothing-monomial-gap": lambda m: classify.smoothing_criteria(
+        m, p=1.0, q=2.0, criteria=["smoothing/monomial-gap"])[0].verdict,
+}
+
+
 def check_classifier_on_examples() -> list[PropertyResult]:
     """The worked example families against their published classifications."""
     ms = _example_measures()
@@ -440,32 +453,8 @@ def check_classifier_on_examples() -> list[PropertyResult]:
         ("hardy", "smoothing-sup-to-l1", v.INCONCLUSIVE),
         ("hardy", "summing", v.NO),
     ]
-    violations = 0
-    for name, question, expected in expectations:
-        m = ms[name]
-        if question == "bounded":
-            got = classify.classify_bounded(m).verdict
-        elif question == "compact":
-            got = classify.classify_compact(m).verdict
-        elif question == "summing":
-            reports = classify.summing_criteria(
-                m, criteria=["summing/absolutely-summing-iff"]
-            )
-            got = reports[0].verdict
-        elif question == "smoothing-sup-to-l1":
-            reports = classify.smoothing_criteria(
-                m, p=1.0, q=INF, criteria=["smoothing/sup-to-l1"]
-            )
-            got = reports[0].verdict
-        elif question == "smoothing-monomial-gap":
-            reports = classify.smoothing_criteria(
-                m, p=1.0, q=2.0, criteria=["smoothing/monomial-gap"]
-            )
-            got = reports[0].verdict
-        else:  # pragma: no cover
-            raise AssertionError(question)
-        if got != expected:
-            violations += 1
+    violations = sum(_EXAMPLE_QUESTIONS[question](ms[name]) != expected
+                     for name, question, expected in expectations)
     return [
         PropertyResult(
             property_id="classifier/example-table",
@@ -479,30 +468,25 @@ def check_classifier_on_examples() -> list[PropertyResult]:
 # -- suite runner -----------------------------------------------------------------
 
 
-SUITES = ("embeddings", "khintchine", "dilation", "examples", "coefficients", "explema")
+# suite -> its checks at a seed, in the order "all" runs them
+_SUITE_RUNS = {
+    "embeddings": lambda seed: check_embeddings(CorpusSpec(seed=seed)),
+    "khintchine": lambda seed: check_khintchine(CorpusSpec(seed=seed, count=12, degree_max=15)),
+    "dilation": lambda seed: check_contraction_and_dilation(spec=CorpusSpec(seed=seed)),
+    "examples": lambda seed: check_classifier_on_examples(),
+    "coefficients": lambda seed: check_coefficient_estimates(CorpusSpec(seed=seed)),
+    "explema": lambda seed: check_explema(),
+}
+SUITES = tuple(_SUITE_RUNS)
 
 
 def run_suite(suite: str, seed: int = 42) -> list[PropertyResult]:
-    spec = CorpusSpec(seed=seed)
-    small = CorpusSpec(seed=seed, count=12, degree_max=15)
-    if suite == "embeddings":
-        return check_embeddings(spec)
-    if suite == "khintchine":
-        return check_khintchine(small)
-    if suite == "dilation":
-        return check_contraction_and_dilation(spec=spec)
-    if suite == "examples":
-        return check_classifier_on_examples()
-    if suite == "coefficients":
-        return check_coefficient_estimates(spec)
-    if suite == "explema":
-        return check_explema()
     if suite == "all":
-        out = []
-        for s in SUITES:
-            out.extend(run_suite(s, seed))
-        return out
-    raise ValueError(f"unknown suite {suite!r}")
+        # through the module name, so that each suite is a call of run_suite of its own
+        return [r for s in SUITES for r in run_suite(s, seed)]
+    if suite not in _SUITE_RUNS:
+        raise ValueError(f"unknown suite {suite!r}")
+    return _SUITE_RUNS[suite](seed)
 
 
 def results_to_csv(results: list[PropertyResult]) -> str:

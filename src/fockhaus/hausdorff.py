@@ -1,7 +1,8 @@
 """The averaging operator f(z) -> integral of f(z/t) dmu(t)/t.
 
 Monomials are eigenfunctions with eigenvalue mu_n, so the primary route
-multiplies Taylor coefficients by the moment sequence.  The defining
+multiplies Taylor coefficients by the moment sequence, which the measure
+computes and keeps; the operator holds only its measure.  The defining
 integral is kept as an independent quadrature oracle, and dilation
 operator norms from a Fock space into a smaller one are bracketed and
 estimated through monomial Rayleigh quotients.
@@ -17,7 +18,10 @@ import numpy as np
 from . import measure as msr
 from .entire import CoeffFunction
 from .focknorm import INF, _check_exponent, log_monomial_norm
-from .measure import CLOSED_FORM, DomainError, MeasureSpec, MomentSequence
+from .measure import DomainError, MeasureSpec
+
+
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 class IllDefined(Exception):
@@ -25,46 +29,42 @@ class IllDefined(Exception):
 
 
 class HausdorffOperator:
-    """A measure together with its lazily extended array of log-moments."""
+    """The averaging operator of a measure; its eigenvalues are the measure's moments."""
 
     def __init__(self, m: MeasureSpec):
         self.measure = m
-        self.support = msr.support_report(m)
-        self.method = m.weighted_mass(0.0)[1]  # closed form, or quadrature
-        self._log_mu = np.empty(0)
-
-    def log_moments(self, n_max: int) -> np.ndarray:
-        """log mu_0..log mu_{n_max} and any computed past it, grown as measure.py says."""
-        if n_max < 0:
-            raise ValueError("moment index must be >= 0")
-        have = len(self._log_mu)
-        if n_max >= have:
-            stop = max(n_max, 2 * have - 1, 63) if self.method == CLOSED_FORM else n_max
-            self._log_mu = np.append(self._log_mu, self.measure.log_moments(stop, have))
-        return self._log_mu
 
     def eigenvalue(self, n: int) -> float:
         """mu_n, the eigenvalue at the degree-n monomial."""
-        return float(msr.exp_moments(self.log_moments(n)[n]))
-
-    def moments(self, n_max: int) -> MomentSequence:
-        return MomentSequence.from_logs(self.log_moments(n_max)[: n_max + 1], self.method)
-
-    def _require_well_defined(self) -> None:
-        if not self.support.inf_support > 0.0:
-            raise IllDefined(
-                "support reaches 0: the moment roots are unbounded "
-                "(criterion entire/root-moment-bound)"
-            )
+        return float(msr.exp_moments(self.measure.log_moments(n)[n]))
 
     def __repr__(self) -> str:
         return f"HausdorffOperator({self.measure!r})"
 
 
+def _image_log_moments(op: HausdorffOperator, f: CoeffFunction) -> np.ndarray:
+    """log mu_0..log mu_deg, once the operator is defined and the image of f in double range.
+
+    Both routes check this before any arithmetic, so an image coefficient
+    a_n mu_n past double range raises DomainError rather than reading inf or NaN.
+    """
+    if not op.measure.inf_support > 0.0:
+        raise IllDefined(
+            "support reaches 0: the moment roots are unbounded "
+            "(criterion entire/root-moment-bound)"
+        )
+    log_mu = op.measure.log_moments(f.degree)[: f.degree + 1]
+    nonzero = f.coeffs != 0
+    log_image = np.log(np.abs(f.coeffs[nonzero])) + log_mu[nonzero]
+    if (log_image > _LOG_DBL_MAX).any():
+        n = int(np.flatnonzero(nonzero)[np.argmax(log_image)])
+        raise DomainError(f"image coefficient a_{n} mu_{n} lies past double range")
+    return log_mu
+
+
 def apply_spectral(op: HausdorffOperator, f: CoeffFunction) -> CoeffFunction:
     """Diagonal action: coefficient n is multiplied by mu_n."""
-    op._require_well_defined()
-    mu = msr.exp_moments(op.log_moments(f.degree)[: f.degree + 1])
+    mu = msr.exp_moments(_image_log_moments(op, f))
     return CoeffFunction(f.coeffs * mu, label=f.label)
 
 
@@ -77,7 +77,7 @@ def apply_quadrature(op: HausdorffOperator, f: CoeffFunction, z_samples) -> np.n
     leaves double range, and a Mellin product nests its factors' integrals.
     This is the independent oracle for apply_spectral.
     """
-    op._require_well_defined()
+    _image_log_moments(op, f)
     out = [
         op.measure.integrate(lambda s: f(z * s))
         for z in np.atleast_1d(np.asarray(z_samples, dtype=complex))

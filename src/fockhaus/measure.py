@@ -10,15 +10,18 @@ quadrature (after the substitution t = e**u) otherwise.  The other integrals,
 the operator's quadrature action and the support masses of Mellin products, go
 through one structural recursion, ``integrate(h)``.
 
-``log_moments(n_max)`` is the array log mu_0..log mu_{n_max}: vectorised over n
-for closed forms, one quadrature per index for a density or a product holding
-one.  An operator grows its array in doubling chunks (from 64) for closed forms
-and one index at a time for quadrature, so a scan that stops early computes no
-moment past its stop.  Past double range a moment reads inf, without a warning.
+A measure keeps its own moments.  ``log_moments(n_max)`` is the read-only array
+log mu_0..log mu_{n_max} (and any computed past n_max), grown on the instance:
+closed forms in doubling chunks (from 64) through each class's vectorised
+``_log_moments``, quadrature one index at a time, so a scan that stops early
+computes no quadrature moment past its stop.  A scaling or a Mellin product
+reads its factors' arrays, so ``normalize(m)`` shares m's moments.  Past
+double range a moment reads inf, without a warning.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -151,7 +154,21 @@ class MeasureSpec:
         """
         raise NotImplementedError
 
-    def log_moments(self, n_max: int, n_min: int = 0) -> np.ndarray:
+    _log_mu = np.empty(0)  # the moments computed so far; each instance grows its own
+
+    def log_moments(self, n_max: int) -> np.ndarray:
+        """log mu_0..log mu_{n_max} and any computed past n_max, kept on the measure, read-only."""
+        if n_max < 0:
+            raise ValueError("moment index must be >= 0")
+        have = len(self._log_mu)
+        if n_max >= have:
+            stop = max(n_max, 2 * have - 1, 63) if self.closed_form else n_max
+            log_mu = np.append(self._log_mu, self._log_moments(have, stop))
+            log_mu.flags.writeable = False
+            self._log_mu = log_mu
+        return self._log_mu
+
+    def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
         """log mu_{n_min}..log mu_{n_max}; here one weighted_mass per index."""
         with np.errstate(divide="ignore"):
             return np.log([self.weighted_mass(-float(n))[0] for n in range(n_min, n_max + 1)])
@@ -171,10 +188,19 @@ class MeasureSpec:
 
     # -- common plumbing -----------------------------------------------------
 
+    @functools.cached_property
+    def _mass0(self) -> tuple[float, str]:
+        """weighted_mass(0): mu_0, and the tag that says how every moment is computed."""
+        return self.weighted_mass(0.0)
+
     @property
     def mu0(self) -> float:
-        value, _ = self.weighted_mass(0.0)
-        return value
+        return self._mass0[0]
+
+    @property
+    def closed_form(self) -> bool:
+        """Every moment in closed form; else each goes through quadrature."""
+        return self._mass0[1] == CLOSED_FORM
 
     def _check_mu0(self) -> None:
         mu0 = self.mu0
@@ -269,7 +295,7 @@ class PointMasses(MeasureSpec):
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         return float(exp_moments(self._log_masses(np.array([exponent])))[0]), CLOSED_FORM
 
-    def log_moments(self, n_max: int, n_min: int = 0) -> np.ndarray:
+    def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
         return self._log_masses(-np.arange(n_min, n_max + 1.0))
 
     def decay_upper(self) -> DecayBound:
@@ -347,7 +373,7 @@ class PowerTailDensity(MeasureSpec):
             )
         return 1.0 / (self.a - exponent), CLOSED_FORM
 
-    def log_moments(self, n_max: int, n_min: int = 0) -> np.ndarray:
+    def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
         return -np.log(np.arange(n_min, n_max + 1.0) + self.a)
 
     def decay_upper(self) -> DecayBound:
@@ -422,7 +448,7 @@ class BetaTailDensity(MeasureSpec):
             CLOSED_FORM,
         )
 
-    def log_moments(self, n_max: int, n_min: int = 0) -> np.ndarray:
+    def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
         # the same sums as weighted_mass(-n), so the same roundings
         second = self.a + np.arange(n_min, n_max + 1.0) - self.b + 1.0
         return gammaln(self.b) + gammaln(second) - gammaln(self.b + second)
@@ -626,8 +652,9 @@ class MellinConvolution(MeasureSpec):
         tag = CLOSED_FORM if lt == CLOSED_FORM and rt == CLOSED_FORM else _quad_tag()
         return lv * rv, tag
 
-    def log_moments(self, n_max: int, n_min: int = 0) -> np.ndarray:
-        return self.left.log_moments(n_max, n_min) + self.right.log_moments(n_max, n_min)
+    def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
+        return (self.left.log_moments(n_max)[n_min : n_max + 1]
+                + self.right.log_moments(n_max)[n_min : n_max + 1])
 
     @staticmethod
     def _combine(a: DecayBound | None, b: DecayBound | None) -> DecayBound | None:
@@ -695,8 +722,13 @@ class Scaled(MeasureSpec):
         val, tag = self.inner.weighted_mass(exponent)
         return self.c * val, tag
 
-    def log_moments(self, n_max: int, n_min: int = 0) -> np.ndarray:
-        return math.log(self.c) + self.inner.log_moments(n_max, n_min)
+    def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
+        return math.log(self.c) + self.inner.log_moments(n_max)[n_min : n_max + 1]
+
+    @functools.cached_property
+    def _mass0(self) -> tuple[float, str]:
+        mu0, tag = self.inner._mass0
+        return self.c * mu0, tag
 
     def decay_upper(self) -> DecayBound | None:
         b = self.inner.decay_upper()
@@ -732,7 +764,7 @@ def moment(m: MeasureSpec, n: int) -> float:
 
 def moments(m: MeasureSpec, n_max: int) -> MomentSequence:
     """mu_0..mu_{n_max} with per-entry provenance tags."""
-    return MomentSequence.from_logs(m.log_moments(n_max), m.weighted_mass(0.0)[1])
+    return MomentSequence.from_logs(m.log_moments(n_max)[: n_max + 1], m._mass0[1])
 
 
 def support_report(m: MeasureSpec) -> SupportReport:

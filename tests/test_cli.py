@@ -62,11 +62,8 @@ COMMANDS = {
     "apply-quadrature": ["apply", "--fn", "monomial:3", "--mode", "quadrature",
                          "--at", "0.5+0.5j"],
 }
-# The calls that warn today: at t = 1e-300, mu_3 and f(z/t) leave double range, and
-# the image of u_3 reads NaN.
-KNOWN_WARNINGS = {
-    "dirac:1e-300": {"apply": {"RuntimeWarning"}, "apply-quadrature": {"RuntimeWarning"}},
-}
+# The calls that warn today: none.
+KNOWN_WARNINGS = {}
 
 
 @pytest.mark.parametrize("name", [*NAMED, *PRODUCTS])
@@ -86,3 +83,14 @@ def test_every_command_exits_0_1_or_2(name, tmp_path, capsys):
         if caught:
             warned[command] = {w.category.__name__ for w in caught}
     assert warned == KNOWN_WARNINGS.get(name, {})
+
+
+@pytest.mark.parametrize("flags", [[], ["--mode", "quadrature", "--at", "0.5+0.5j"]])
+def test_image_past_double_range_is_a_precondition_failure(flags, capsys):
+    # mu_2 = 1e600 at t = 1e-300: the image of u_2 has no double value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["apply", "--measure", "dirac:1e-300", "--fn", "monomial:2", *flags])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "DomainError" in err and "nan" not in err.lower()

@@ -56,9 +56,7 @@ class TestCircleMean:
             f = rand_poly(rng, degree)
             for r in (0.5, 1.0, 3.0):
                 exact = focknorm._log_mean_2(f.coeffs, np.array([r]))[0]
-                generic = focknorm._log_mean_p(
-                    f.coeffs, 2.0, np.array([r]), focknorm.DEFAULT_CFG
-                )[0]
+                generic = focknorm._log_mean_p(f.coeffs, 2.0, np.array([r]))[0]
                 assert abs(generic - exact) <= 1e-12
 
     def test_monotone_in_radius(self):
@@ -66,7 +64,7 @@ class TestCircleMean:
         f = rand_poly(rng, 12)
         radii = np.linspace(0.0, 3.0, 40)
         for p in (0.5, 1.0, 2.0, INF):
-            vals = focknorm._log_circle_means(f.coeffs, p, radii, focknorm.DEFAULT_CFG)
+            vals = focknorm._log_circle_means(f.coeffs, p, radii)
             assert (np.diff(vals) >= -1e-10).all()
 
 
@@ -185,9 +183,9 @@ class TestSupMaximiser:
         f = entire.kernel(1.0, 3.0 + 4.0j)
         for p in (0.5, 2.0, INF):
             calls.clear()
-            focknorm._log_radial_sup(f.coeffs, p, 1.0, focknorm.DEFAULT_CFG)
+            focknorm._log_radial_sup(f.coeffs, p, 1.0)
             assert 1 < len(calls) <= 8
-            assert calls[0] == focknorm.DEFAULT_CFG.sup_grid
+            assert calls[0] == focknorm.SUP_GRID
 
     def test_circle_mean_routes_are_warning_free(self):
         funcs = [
@@ -202,20 +200,20 @@ class TestSupMaximiser:
             warnings.simplefilter("error")
             for f in funcs:
                 for p in (0.5, 1.0, 2.0, 3.0, INF):
-                    focknorm._log_circle_means(f.coeffs, p, radii, focknorm.DEFAULT_CFG)
+                    focknorm._log_circle_means(f.coeffs, p, radii)
                     for r in radii:
                         circle_mean(f, p, r)
                     mixed_norm(f, FockParams(p, INF, 1.0))
 
 
-def full_recompute_log_mean_p(coeffs, p, radii, cfg):
+def full_recompute_log_mean_p(coeffs, p, radii):
     """The finite-p mean that transforms all 2K angles at every doubling.
 
     Returns the log means and the mask of rows that reached the cap.
     """
     deg = len(coeffs) - 1
     scaled, L = focknorm._scaled_rows(coeffs, radii)
-    K = max(cfg.angle_nodes or max(64, 4 * (deg + 1)), deg + 1)
+    K = max(focknorm.MIN_ANGLE_NODES, 4 * (deg + 1))
 
     def means_at(block, k):
         vals = np.fft.fft(block, n=k, axis=1)
@@ -224,7 +222,7 @@ def full_recompute_log_mean_p(coeffs, p, radii, cfg):
     out = means_at(scaled, K) + L
     active = np.ones(len(radii), dtype=bool)
     hist = [np.full_like(out, np.nan), np.full_like(out, np.nan), out.copy()]
-    while active.any() and K < cfg.max_angle_nodes:
+    while active.any() and K < focknorm.MAX_ANGLE_NODES:
         K *= 2
         cur = means_at(scaled[active], K) + L[active]
         hist = [h.copy() for h in hist[1:]] + [hist[-1].copy()]
@@ -233,7 +231,7 @@ def full_recompute_log_mean_p(coeffs, p, radii, cfg):
         with np.errstate(invalid="ignore"):
             diff = np.abs(hist[-1] - hist[-2])
         diff[~np.isfinite(diff)] = 0.0
-        active &= diff > cfg.abs_tol * 10
+        active &= diff > focknorm.ABS_TOL * 10
     if active.any():
         m1, m2, m3 = (h[active] for h in hist)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -259,8 +257,6 @@ def fft_work(monkeypatch):
 
 
 class TestNestedRefinement:
-    cfg = focknorm.DEFAULT_CFG
-
     @pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
     def test_matches_full_recompute(self, p):
         rng = np.random.default_rng(23)
@@ -268,8 +264,8 @@ class TestNestedRefinement:
         for degree in (1, 5, 17, 40):
             f = rand_poly(rng, degree)
             radii = np.linspace(0.0, 4.0, 81)
-            got = focknorm._log_mean_p(f.coeffs, p, radii, self.cfg)
-            want, at_cap = full_recompute_log_mean_p(f.coeffs, p, radii, self.cfg)
+            got = focknorm._log_mean_p(f.coeffs, p, radii)
+            want, at_cap = full_recompute_log_mean_p(f.coeffs, p, radii)
             np.testing.assert_allclose(got[~at_cap], want[~at_cap], rtol=0, atol=1e-13)
             np.testing.assert_allclose(got[at_cap], want[at_cap], rtol=0, atol=1e-6)
             capped += at_cap.sum()
@@ -290,7 +286,7 @@ class TestNestedRefinement:
                 [np.sum(np.abs(power) ** 2 * r ** (2.0 * np.arange(len(power)))) for r in radii]
             )
             fft_work.clear()
-            got = focknorm._log_mean_p(f.coeffs, float(p), radii, self.cfg)
+            got = focknorm._log_mean_p(f.coeffs, float(p), radii)
             assert len(fft_work) == 1
             np.testing.assert_allclose(got, np.log(parseval) / p, rtol=0, atol=1e-13)
 

@@ -18,41 +18,62 @@ from fockhaus.hausdorff import HausdorffOperator
 
 from test_classify import GOLDEN_MEASURES
 
-EXAMPLES = harness._example_measures()
-CLOSED_FORM_MEASURES = {
-    "geom": EXAMPLES["geom"],
-    "atoms-1+1/k": EXAMPLES["atoms-1+1/k"],
-    "atom-at-1-family": EXAMPLES["atom-at-1-family"],
-    "power:1.5": measure.PowerTailDensity(1.5),
-    "beta:2.5:1.5": measure.BetaTailDensity(2.5, 1.5),
-    "beta:-0.3:0.5": measure.BetaTailDensity(-0.3, 0.5),
-    "mellin-hardy2": EXAMPLES["mellin-hardy2"],
-    "nested-mellin": measure.MellinConvolution(
-        measure.MellinConvolution(measure.dirac(0.5), measure.hardy_measure()),
-        measure.BetaTailDensity(2.0, 2.0)),
-    "scaled-geom": measure.Scaled(3.0, EXAMPLES["geom"]),
-    "scaled-mellin": measure.Scaled(0.5, measure.MellinConvolution(
-        measure.dirac(2.0), measure.PowerTailDensity(2.5))),
-}
+def closed_form_measures() -> dict:
+    """Freshly built measures whose moments all have closed forms."""
+    examples = harness._example_measures()
+    return {
+        "geom": examples["geom"],
+        "atoms-1+1/k": examples["atoms-1+1/k"],
+        "atom-at-1-family": examples["atom-at-1-family"],
+        "power:1.5": measure.PowerTailDensity(1.5),
+        "beta:2.5:1.5": measure.BetaTailDensity(2.5, 1.5),
+        "beta:-0.3:0.5": measure.BetaTailDensity(-0.3, 0.5),
+        "mellin-hardy2": examples["mellin-hardy2"],
+        "nested-mellin": measure.MellinConvolution(
+            measure.MellinConvolution(measure.dirac(0.5), measure.hardy_measure()),
+            measure.BetaTailDensity(2.0, 2.0)),
+        "scaled-geom": measure.Scaled(3.0, examples["geom"]),
+        "scaled-mellin": measure.Scaled(0.5, measure.MellinConvolution(
+            measure.dirac(2.0), measure.PowerTailDensity(2.5))),
+    }
+
+
+def quadrature_backed_measures() -> dict:
+    """Freshly built measures whose moments go through quadrature, one per index."""
+    ramp = measure.Density(lambda t: t, (1.0, 2.0), label="ramp")
+    return {
+        "ramp": ramp,
+        "scaled-product": measure.Scaled(2.0, measure.MellinConvolution(ramp, measure.dirac(1.5))),
+    }
+
+
+CLOSED_FORM_MEASURES = closed_form_measures()
 N = 400
 
 
 @pytest.mark.parametrize("name", CLOSED_FORM_MEASURES)
 def test_log_moments_match_weighted_mass(name):
     m = CLOSED_FORM_MEASURES[name]
-    log_mu = m.log_moments(N)
-    assert log_mu.shape == (N + 1,)
+    log_mu = m.log_moments(N)[: N + 1]
     want = np.array([m.weighted_mass(-float(n))[0] for n in range(N + 1)])
     np.testing.assert_allclose(np.exp(log_mu), want, rtol=1e-12, atol=0)
-    np.testing.assert_array_equal(m.log_moments(N, 150), log_mu[150:])
 
 
 def test_quadrature_backed_log_moments_match_weighted_mass():
-    bump = measure.Density(lambda t: t, (1.0, 2.0), label="ramp")
-    product = measure.Scaled(2.0, measure.MellinConvolution(bump, measure.dirac(1.5)))
-    for m in (bump, product):
+    for m in quadrature_backed_measures().values():
         want = [m.weighted_mass(-float(n))[0] for n in range(12)]
         np.testing.assert_allclose(np.exp(m.log_moments(11)), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", [*CLOSED_FORM_MEASURES, *quadrature_backed_measures()])
+def test_moments_grown_in_steps_equal_moments_grown_at_once(name):
+    def fresh():
+        return {**closed_form_measures(), **quadrature_backed_measures()}[name]
+
+    grown = fresh()
+    for n in (10, 100, N):
+        grown.log_moments(n)
+    np.testing.assert_array_equal(grown.log_moments(N)[: N + 1], fresh().log_moments(N)[: N + 1])
 
 
 @pytest.mark.parametrize("m, log_mu", [
@@ -64,19 +85,60 @@ def test_quadrature_backed_log_moments_match_weighted_mass():
 ])
 def test_log_moments_past_double_range(m, log_mu):
     want = np.array([log_mu(n) for n in range(N + 1)])
-    np.testing.assert_allclose(m.log_moments(N), want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(m.log_moments(N)[: N + 1], want, rtol=1e-12, atol=1e-12)
 
 
 def test_closed_forms_extend_in_doubling_chunks_and_quadrature_by_one():
-    op = HausdorffOperator(measure.hardy_measure())
-    assert len(op.log_moments(0)) == 64
-    assert len(op.log_moments(64)) == 128
-    assert len(op.log_moments(1000)) == 1001
-    quad = HausdorffOperator(measure.Density(lambda t: 1.0, (1.0, 2.0)))
+    m = measure.hardy_measure()
+    assert len(m.log_moments(0)) == 64
+    assert len(m.log_moments(64)) == 128
+    assert len(m.log_moments(1000)) == 1001
+    quad = measure.Density(lambda t: 1.0, (1.0, 2.0))
     assert len(quad.log_moments(0)) == 1
     assert len(quad.log_moments(5)) == 6
     with pytest.raises(ValueError):
-        op.eigenvalue(-1)
+        m.log_moments(-1)
+    with pytest.raises(ValueError):
+        HausdorffOperator(m).eigenvalue(-1)
+
+
+def test_normalize_shares_the_moments_read_only(monkeypatch):
+    m = quadrature_backed_measures()["ramp"]
+    log_mu = m.log_moments(20)
+    quads = []
+    quad = measure._log_substituted_quad
+
+    def counted(*args, **kwargs):
+        quads.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "_log_substituted_quad", counted)
+    mn = measure.normalize(m)
+    assert not mn.closed_form and mn.mu0 == pytest.approx(1.0, rel=1e-14)
+    np.testing.assert_array_equal(mn.log_moments(20), math.log(1.0 / m.mu0) + log_mu)
+    assert quads == []
+    for array in (log_mu, mn.log_moments(20)):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_questions_share_one_quadrature_per_moment(monkeypatch):
+    # the bench's density case, asked every smoothing and summing question at its three (p, q)
+    exponents = []
+    weighted_mass = measure.Density.weighted_mass
+
+    def counted(self, exponent):
+        exponents.append(exponent)
+        return weighted_mass(self, exponent)
+
+    monkeypatch.setattr(measure.Density, "weighted_mass", counted)
+    m = measure.Density(lambda t: t**-1.5, (0.8, 2.5))
+    for p, q in ((1.0, math.inf), (1.0, 2.0), (2.0, 4.0)):
+        classify.smoothing_criteria(m, p=p, q=q)
+        classify.summing_criteria(m, p=p, q=q)
+    moments = [e for e in exponents if e < 0.0]
+    assert len(moments) == len(set(moments)) == classify.QUAD_BACKED_HORIZON
+    assert len(exponents) <= classify.QUAD_BACKED_HORIZON + 8  # mu_0 and the mass conditions
 
 
 # -- the scans against a loop over weighted_mass -------------------------------------
