@@ -63,19 +63,25 @@ def _image_log_moments(op: HausdorffOperator, f: CoeffFunction) -> np.ndarray:
 
 
 def apply_spectral(op: HausdorffOperator, f: CoeffFunction) -> CoeffFunction:
-    """Diagonal action: coefficient n is multiplied by mu_n."""
-    mu = msr.exp_moments(_image_log_moments(op, f))
-    return CoeffFunction(f.coeffs * mu, label=f.label)
+    """Diagonal action: a_n becomes a_n mu_n, formed in logs as (a_n/|a_n|)
+    exp(log|a_n| + log mu_n) where mu_n alone is inf or below the smallest normal double."""
+    log_mu = _image_log_moments(op, f)
+    mu = msr.exp_moments(log_mu)
+    coeffs = f.coeffs * np.where(mu == np.inf, 0.0, mu)
+    far = ((mu < np.finfo(float).tiny) | (mu == np.inf)) & (f.coeffs != 0)
+    a = f.coeffs[far]
+    coeffs[far] = a / np.abs(a) * np.exp(np.log(np.abs(a)) + log_mu[far])
+    return CoeffFunction(coeffs, label=f.label)
 
 
 def apply_quadrature(op: HausdorffOperator, f: CoeffFunction, z_samples) -> np.ndarray:
     """Evaluate the defining integral of the transformed function at sample points.
 
     The integral of f(z/t) dmu(t)/t is ``measure.integrate(lambda s: f(z * s))``
-    in the contraction factor s = 1/t: atoms are summed exactly, densities go
-    through adaptive quadrature written so that no factor of the integrand
-    leaves double range, and a Mellin product nests its factors' integrals.
-    This is the independent oracle for apply_spectral.
+    in the contraction factor s = 1/t: atoms are summed exactly, a Mellin product
+    nests its factors' integrals, and densities go through the one quadrature engine,
+    whose tolerance holds on the modulus of the value and which raises DivergentMoment
+    for an integral that does not converge.  This is the oracle for apply_spectral.
     """
     _image_log_moments(op, f)
     out = [

@@ -5,22 +5,29 @@ convolutions, scalings) and never sampled.  Moments
 
     mu_n = integral over (0, inf) of t**-(n+1) dmu(t)
 
-are computed in closed form where the family admits one and by adaptive
-quadrature (after the substitution t = e**u) otherwise.  The other integrals,
-the operator's quadrature action and the support masses of Mellin products, go
-through one structural recursion, ``integrate(h)``.
+are computed in closed form where the family admits one and by quadrature
+otherwise.  Every quadrature in the package goes through one engine, ``_quad``:
+each node is evaluated once, the tolerance QUAD_REL_TOL is relative to a pilot
+integral of |f| (so it holds on the modulus of a complex integral, not per
+part), and a failure of any kind raises DivergentMoment.  Density moments and
+support masses call it after the substitution t = e**u; the operator's
+quadrature action and the support masses of Mellin products go through one
+structural recursion, ``integrate(h)``, which calls it once per density.
 
 A measure keeps its own moments.  ``log_moments(n_max)`` is the read-only array
-log mu_0..log mu_{n_max} (and any computed past n_max), grown on the instance:
-closed forms in doubling chunks (from 64) through each class's vectorised
-``_log_moments``, quadrature one index at a time, so a scan that stops early
-computes no quadrature moment past its stop.  A scaling or a Mellin product
-reads its factors' arrays, so ``normalize(m)`` shares m's moments.  Past
-double range a moment reads inf, without a warning.
+log mu_0..log mu_{n_max} (and any computed past n_max), grown on each leaf
+measure: closed forms in doubling chunks (from 64) through each class's
+vectorised ``_log_moments``, quadrature one index at a time, so a scan that
+stops early computes no quadrature moment past its stop.  A scaling or a Mellin
+product keeps no array: it returns log c plus its inner measure's array, or the
+sum over the shorter of its factors' arrays, whole, so ``normalize(m)`` hands a
+scan every moment m holds at once.  Past double range a moment reads inf,
+without a warning.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -46,10 +53,7 @@ class DomainError(Exception):
 
 CLOSED_FORM = "closed-form"
 QUAD_REL_TOL = 1e-10
-
-
-def _quad_tag(tol: float = QUAD_REL_TOL) -> str:
-    return f"quadrature({tol:g})"
+QUAD_TAG = f"quadrature({QUAD_REL_TOL:g})"
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,8 @@ class MeasureSpec:
         """integral of h(s) dmu(t)/t in the contraction factor s = 1/t, h real or complex.
 
         The operator's action at z is ``integrate(lambda s: f(z * s))``.  Atoms are
-        summed, densities go through quad per real and imaginary part, and the beta
-        tail's rule samples the ends of (0, 1), so h may be called at s = 0.  A
+        summed, densities go through the engine ``_quad``, and the beta tail's
+        rule samples the ends of (0, 1), so h may be called at s = 0.  A
         product of two atomless factors integrates one factor's mass function over
         the other with it; an atomic factor is the outer one and goes through
         ``sum_atoms`` instead: its sum is exact there, while an atomic inner factor
@@ -163,9 +167,7 @@ class MeasureSpec:
         have = len(self._log_mu)
         if n_max >= have:
             stop = max(n_max, 2 * have - 1, 63) if self.closed_form else n_max
-            log_mu = np.append(self._log_mu, self._log_moments(have, stop))
-            log_mu.flags.writeable = False
-            self._log_mu = log_mu
+            self._log_mu = _read_only(np.append(self._log_mu, self._log_moments(have, stop)))
         return self._log_mu
 
     def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
@@ -212,6 +214,11 @@ class MeasureSpec:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def exp_moments(log_mu: np.ndarray) -> np.ndarray:
@@ -364,7 +371,7 @@ class PowerTailDensity(MeasureSpec):
     def integrate(self, h):
         # in u = log t the density e**(-a u) stays in log form, inside double range
         a = self.a
-        return _complex_quad(lambda u: h(math.exp(-u)) * math.exp(-a * u), 0.0, np.inf)
+        return _quad(lambda u: h(math.exp(-u)) * math.exp(-a * u), 0.0, np.inf)
 
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         if exponent >= self.a:
@@ -396,17 +403,9 @@ class PowerTailDensity(MeasureSpec):
 
 
 def beta_moment(a: float, b: float, n: int) -> float:
-    """Euler Beta B(b, n+a-b+1) via log-gamma.
-
-    Closed-form moment of the density (t-1)**(b-1) * t**-a on (1, inf).
-    Requires a+1 > b > 0 and n+a-b+1 > 0.
-    """
-    if not (b > 0.0 and a + 1.0 > b):
-        raise DomainError(f"need a+1 > b > 0, got a={a}, b={b}")
-    second = n + a - b + 1.0
-    if not second > 0.0:
-        raise DomainError(f"need n+a-b+1 > 0, got {second}")
-    return math.exp(gammaln(b) + gammaln(second) - gammaln(b + second))
+    """Euler Beta B(b, n+a-b+1), the closed-form moment mu_n of the density
+    (t-1)**(b-1) * t**-a on (1, inf).  Requires a+1 > b > 0."""
+    return BetaTailDensity(a, b).weighted_mass(-float(n))[0]
 
 
 class BetaTailDensity(MeasureSpec):
@@ -426,16 +425,13 @@ class BetaTailDensity(MeasureSpec):
     def mass_below(self, x: float) -> float:
         if x <= 1.0:
             return 0.0
-        val, _ = _log_substituted_quad(
-            lambda t: (t - 1.0) ** (self.b - 1.0) * t**-self.a, 1.0, x
-        )
-        return val
+        return _log_substituted_quad(lambda t: (t - 1.0) ** (self.b - 1.0) * t**-self.a, 1.0, x)
 
     def integrate(self, h):
         # s = 1/t turns (t-1)**(b-1) t**-a dt/t on (1, inf) into s**(a-b) (1-s)**(b-1) ds
         # on (0, 1); quad's algebraic weight carries both endpoint powers (each > -1
         # since a+1 > b > 0), which leaves h as the whole integrand
-        return _complex_quad(h, 0.0, 1.0, weight="alg", wvar=(self.a - self.b, self.b - 1.0))
+        return _quad(h, 0.0, 1.0, weight="alg", wvar=(self.a - self.b, self.b - 1.0))
 
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         second = self.a - exponent - self.b + 1.0
@@ -494,62 +490,62 @@ class BetaTailDensity(MeasureSpec):
 PLAUSIBILITY_BOUND = 1e50  # desk-scale integrability certificate
 
 
-def _log_substituted_quad(phi, lo: float, hi: float, exponent: float = 1.0):
-    """integral of t**(exponent-1) * phi(t) dt over (lo, hi) via t = e**u.
+def _quad(func, lo, hi, **weight):
+    """integral of a real or complex func over (lo, hi); ``weight`` passes on to quad.
 
-    Returns (value, error_estimate).  The substitution turns power decay into
-    exponential decay, which the adaptive rule resolves reliably.  Support
-    touching 0 is cut at t = e**-700 (below double underflow anyway); a value
-    beyond the plausibility bound, a non-finite value or a failed error
-    estimate all raise DivergentMoment.
+    func is evaluated once per node, in a memo every pass reads.  A two-panel pilot
+    of |func| sets the absolute tolerance QUAD_REL_TOL * pilot of both passes, so a
+    part that cancels stops at the scale of |func|; the imaginary pass runs only if
+    func returned a complex value.  An integrand raising ZeroDivisionError,
+    OverflowError or ValueError, a quad warning, a non-finite value or an error
+    estimate above 1e-6 of the pilot (or of |value|, if larger) raise DivergentMoment.
     """
-    u_lo = math.log(lo) if lo > 0 else -700.0
-    u_hi = math.log(hi) if math.isfinite(hi) else np.inf
-
-    def integrand(u):
-        t = math.exp(u)
-        try:
-            return phi(t) * t**exponent
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise DivergentMoment(f"density not integrable near t={t:g}") from exc
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(
-                integrand, u_lo, u_hi, epsabs=1e-300, epsrel=QUAD_REL_TOL, limit=400
-            )
-        except integrate.IntegrationWarning as exc:
-            raise DivergentMoment(f"quadrature did not converge: {exc}") from exc
-        except OverflowError as exc:
-            raise DivergentMoment("integrand overflowed") from exc
-    if not math.isfinite(val) or abs(val) > PLAUSIBILITY_BOUND:
-        raise DivergentMoment("integral is non-finite or beyond the plausibility bound")
-    if err > 1e-6 * max(abs(val), 1e-12):
-        raise DivergentMoment(f"error estimate {err:g} too large for value {val:g}")
-    return val, err
-
-
-def _complex_quad(func, lo, hi, **weight):
-    """integral of a real or complex func over (lo, hi), one quad per part (one if real).
-
-    func is evaluated once per node: the imaginary pass reads the values the real
-    pass stored at the nodes they share.
-    """
-    kw = dict(epsabs=1e-300, epsrel=1e-11, limit=400, **weight)
     values = {}
 
     def at(u):
         value = values.get(u)
         if value is None:
-            value = values[u] = func(u)
+            try:
+                value = values[u] = func(u)
+            except (ZeroDivisionError, OverflowError, ValueError) as exc:
+                raise DivergentMoment(f"integrand raised {exc!r} at {u:g}") from exc
         return value
 
-    re, _ = integrate.quad(lambda u: at(u).real, lo, hi, **kw)
-    if not any(np.iscomplexobj(v) for v in values.values()):
-        return complex(re, 0.0)
-    im, _ = integrate.quad(lambda u: at(u).imag, lo, hi, **kw)
-    return complex(re, im)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        # QAWS refuses limit=1
+        pilot = integrate.quad(lambda u: abs(at(u)), lo, hi, limit=2, **weight)[0]
+        is_complex = any(isinstance(v, complex) for v in values.values())
+        parts = (lambda u: at(u).real, lambda u: at(u).imag) if is_complex else (at,)
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        kw = dict(epsabs=QUAD_REL_TOL * pilot, epsrel=QUAD_REL_TOL, limit=400, **weight)
+        try:
+            passes = [integrate.quad(part, lo, hi, **kw) for part in parts]
+        except integrate.IntegrationWarning as exc:
+            raise DivergentMoment(f"quadrature did not converge: {exc}") from exc
+    value = complex(passes[0][0], passes[1][0]) if is_complex else passes[0][0]
+    err = max(e for _, e in passes)
+    if not (math.isfinite(pilot) and cmath.isfinite(value)):
+        raise DivergentMoment("integral is not finite")
+    scale = max(pilot, abs(value))  # a pilot that misses a peak reads low
+    if err > 1e-6 * scale:
+        raise DivergentMoment(f"error estimate {err:g} too large for {scale:g}")
+    return value
+
+
+def _log_substituted_quad(phi, lo: float, hi: float, exponent: float = 1.0) -> float:
+    """integral of t**(exponent-1) * phi(t) dt over (lo, hi) via t = e**u.
+
+    The substitution turns power decay into exponential decay, which the adaptive
+    rule resolves reliably.  Support touching 0 is cut at t = e**-700 (below double
+    underflow anyway); a value beyond the plausibility bound raises DivergentMoment.
+    """
+    u_lo = math.log(lo) if lo > 0 else -700.0
+    u_hi = math.log(hi) if math.isfinite(hi) else np.inf
+    val = _quad(lambda u: phi(math.exp(u)) * math.exp(u) ** exponent, u_lo, u_hi)
+    if abs(val) > PLAUSIBILITY_BOUND:
+        raise DivergentMoment(f"integral {val:g} is beyond the plausibility bound")
+    return val
 
 
 class Density(MeasureSpec):
@@ -577,8 +573,7 @@ class Density(MeasureSpec):
         lo, hi = self.support
         if x <= lo:
             return 0.0
-        val, _ = _log_substituted_quad(self.phi, lo, min(hi, x))
-        return val
+        return _log_substituted_quad(self.phi, lo, min(hi, x))
 
     def integrate(self, h):
         # phi(e**u) stays in double range only while a Density with hi = inf fails to
@@ -586,18 +581,17 @@ class Density(MeasureSpec):
         lo, hi = self.support
         u_lo = math.log(lo) if lo > 0 else -np.inf
         u_hi = math.log(hi) if math.isfinite(hi) else np.inf
-        return _complex_quad(lambda u: h(math.exp(-u)) * self.phi(math.exp(u)), u_lo, u_hi)
+        return _quad(lambda u: h(math.exp(-u)) * self.phi(math.exp(u)), u_lo, u_hi)
 
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         lo, hi = self.support
-        val, _ = _log_substituted_quad(self.phi, lo, hi, exponent=exponent)
-        return val, _quad_tag()
+        return _log_substituted_quad(self.phi, lo, hi, exponent=exponent), QUAD_TAG
 
     def decay_lower(self) -> DecayBound | None:
         # witness interval [lo, mid]: mu_n >= mass([lo, mid]) * mid**-(n+1)
         lo, hi = self.support
         mid = (lo + hi) / 2.0 if math.isfinite(hi) else lo + 1.0
-        mass, _ = _log_substituted_quad(self.phi, lo, mid)
+        mass = _log_substituted_quad(self.phi, lo, mid)
         if mass <= 0.0:
             return None
         return DecayBound(ratio=1.0 / mid, power=0.0, const=mass / mid)
@@ -649,12 +643,13 @@ class MellinConvolution(MeasureSpec):
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         lv, lt = self.left.weighted_mass(exponent)
         rv, rt = self.right.weighted_mass(exponent)
-        tag = CLOSED_FORM if lt == CLOSED_FORM and rt == CLOSED_FORM else _quad_tag()
+        tag = CLOSED_FORM if lt == CLOSED_FORM and rt == CLOSED_FORM else QUAD_TAG
         return lv * rv, tag
 
-    def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
-        return (self.left.log_moments(n_max)[n_min : n_max + 1]
-                + self.right.log_moments(n_max)[n_min : n_max + 1])
+    def log_moments(self, n_max: int) -> np.ndarray:
+        left, right = self.left.log_moments(n_max), self.right.log_moments(n_max)
+        n = min(len(left), len(right))
+        return _read_only(left[:n] + right[:n])
 
     @staticmethod
     def _combine(a: DecayBound | None, b: DecayBound | None) -> DecayBound | None:
@@ -722,8 +717,8 @@ class Scaled(MeasureSpec):
         val, tag = self.inner.weighted_mass(exponent)
         return self.c * val, tag
 
-    def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
-        return math.log(self.c) + self.inner.log_moments(n_max)[n_min : n_max + 1]
+    def log_moments(self, n_max: int) -> np.ndarray:
+        return _read_only(math.log(self.c) + self.inner.log_moments(n_max))
 
     @functools.cached_property
     def _mass0(self) -> tuple[float, str]:
@@ -758,8 +753,7 @@ def moment(m: MeasureSpec, n: int) -> float:
     """mu_n = integral of t**-(n+1) dmu(t)."""
     if n < 0:
         raise ValueError("moment index must be >= 0")
-    value, _ = m.weighted_mass(-float(n))
-    return value
+    return m.weighted_mass(-float(n))[0]
 
 
 def moments(m: MeasureSpec, n_max: int) -> MomentSequence:

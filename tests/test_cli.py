@@ -1,4 +1,5 @@
 import json
+import signal
 import warnings
 
 import pytest
@@ -48,18 +49,13 @@ PRODUCTS = {
         "right": {"type": "mellin", "left": {"type": "point_masses", "atoms": [[0.5, 0.5]]},
                   "right": {"type": "density", "kind": "power_tail", "a": 1.5}}},
 }
-# monomial:3 keeps the test within seconds.  monomial:2 at 0.5+0.5j is the case left out:
-# f(z s) is then purely imaginary, _complex_quad chases the rounding noise of its real part
-# to quad's subinterval limit (a relative tolerance per part, not on the modulus), and
-# apply-quadrature on "atom*hardy*hardy" runs for minutes.  Switch to monomial:2 once the
-# tolerance is set on the modulus (CHANGES.md, the FOUND lines on _complex_quad).
 COMMANDS = {
     "moments": ["moments"],
     "classify": ["classify"],
     "classify-weighted": ["classify", "--weight", "gauss:1"],
     "report": ["report"],
-    "apply": ["apply", "--fn", "monomial:3"],
-    "apply-quadrature": ["apply", "--fn", "monomial:3", "--mode", "quadrature",
+    "apply": ["apply", "--fn", "monomial:2"],
+    "apply-quadrature": ["apply", "--fn", "monomial:2", "--mode", "quadrature",
                          "--at", "0.5+0.5j"],
 }
 # The calls that warn today: none.
@@ -83,6 +79,35 @@ def test_every_command_exits_0_1_or_2(name, tmp_path, capsys):
         if caught:
             warned[command] = {w.category.__name__ for w in caught}
     assert warned == KNOWN_WARNINGS.get(name, {})
+
+
+def _out_of_time(signum, frame):
+    pytest.fail("apply-quadrature ran past its 20 s budget")
+
+
+@pytest.mark.parametrize("name, want", [("hardy*hardy", 0.5j / 9.0),
+                                        ("atom*hardy*hardy", 2j / 9.0)])
+def test_apply_quadrature_ends_when_the_real_part_cancels(name, want, tmp_path, capsys):
+    # (0.5+0.5j)**2 = 0.5j, so the real part of f(z s) = 0.5j s**2 is rounding noise; a
+    # tolerance per part chased it to quad's subinterval limit, for minutes.  mu_2 is 1/9
+    # for hardy * hardy and 4/9 with the atom of mass 1/2 at 1/2.
+    measures = {"hardy*hardy": {"type": "mellin", "left": HARDY, "right": HARDY}, **PRODUCTS}
+    descriptor = tmp_path / "measure.json"
+    descriptor.write_text(json.dumps(measures[name]), encoding="utf-8")
+    argv = ["apply", "--measure", str(descriptor), "--fn", "monomial:2", "--mode", "quadrature",
+            "--at", "0.5+0.5j"]
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(20)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    point, value = capsys.readouterr().out.strip().split(" -> ")
+    assert code == 0 and point == "(0.5+0.5j)"
+    assert abs(complex(value.replace(" ", "")) - want) <= 1e-10 * abs(want)
 
 
 @pytest.mark.parametrize("flags", [[], ["--mode", "quadrature", "--at", "0.5+0.5j"]])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,22 @@ class TestSpectral:
             g = apply_spectral(op, entire.monomial(n))
             assert g.degree == n
             assert g.coeffs[n] == pytest.approx(op.eigenvalue(n), rel=0)
+
+    @pytest.mark.parametrize("t, coeffs, want", [
+        (1e-200, [1.0, 2.0, 1e-300], [1.0, 2e200, 1e100]),  # mu_2 = 1e400 reads inf
+        (1e-200, [1.0, 0.0, -3e-301 + 4e-301j], [1.0, 0.0, -3e99 + 4e99j]),
+        (1e200, [1.0, 2.0, 1e300], [1.0, 2e-200, 1e-100]),  # mu_2 = 1e-400 underflows
+        (1e-200, [1.0, 0.0, 0.0, 1e-300], [1.0, 0.0, 0.0, 1e300]),  # 0 * mu_2 stays 0
+    ])
+    def test_image_in_double_range_while_the_moment_is_not(self, t, coeffs, want):
+        op = HausdorffOperator(msr.dirac(t))
+        f = entire.CoeffFunction(coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = apply_spectral(op, f)
+        np.testing.assert_allclose(g.coeffs, want, rtol=1e-12, atol=0)
+        mu_1 = op.eigenvalue(1)
+        assert g.coeffs[:2].tolist() == [f.coeffs[0], f.coeffs[1] * mu_1]  # in range: a_n mu_n
 
     def test_ill_defined_when_support_reaches_zero(self):
         m = msr.truncated_atom_family(
@@ -123,6 +140,24 @@ class TestQuadratureRoute:
                     f"{m!r} at z={z}: spectral {sv}, quadrature {qv}, "
                     f"relative error {abs(sv - qv) / max(abs(sv), 1e-12):.3g}"
                 )
+
+    def test_nested_action_whose_real_part_cancels(self):
+        # the classify benchmark's seed-1 cycle-11 polynomial and points
+        # (Classify(1).inputs(11) in bench/workloads.py), where a tolerance per real and
+        # imaginary part chased the rounding of a cancelling part until quad warned
+        f = entire.CoeffFunction([
+            (0.3971900265544873-0.32830132011499463j), (0.6604859650656566+0.06047330721089944j),
+            (-0.751624451543043-0.394977770606402j), (0.3688198951047456+0.02756133055722909j),
+            (-0.6328786554230035-0.22587233905615747j), (-0.6032697680643084+0.12443767925280985j),
+        ])
+        zs = np.array([(-0.1377088400152097-1.4379318097282685j),
+                       (0.23923615325610265+1.3448967028895202j)])
+        op = HausdorffOperator(msr.MellinConvolution(msr.hardy_measure(), msr.hardy_measure()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quadr = apply_quadrature(op, f, zs)
+        spect = apply_spectral(op, f)(zs)
+        np.testing.assert_allclose(quadr, spect, rtol=1e-10, atol=0)
 
     @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize(

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fockhaus import classify, harness
+from fockhaus import classify, entire, harness
 from fockhaus import measure as msr
+from fockhaus.hausdorff import HausdorffOperator, apply_spectral
 
 
 def quad_moment_oracle(phi, lo, hi, n):
@@ -175,43 +176,27 @@ class TestProductMassBelowOne:
         assert one == pytest.approx(0.375 - 0.5 * math.log(2.0), rel=1e-10)
 
 
-def two_pass_complex_quad(func, lo, hi, **weight):
-    """The quad pair that calls func afresh on the imaginary pass."""
-    kw = dict(epsabs=1e-300, epsrel=1e-11, limit=400, **weight)
-    is_complex = False
-
-    def real_part(u):
-        nonlocal is_complex
-        value = func(u)
-        is_complex = is_complex or np.iscomplexobj(value)
-        return value.real
-
-    re, _ = integrate.quad(real_part, lo, hi, **kw)
-    im = integrate.quad(lambda u: func(u).imag, lo, hi, **kw)[0] if is_complex else 0.0
-    return complex(re, im)
-
-
 def cubic(s):
     z = (0.9 + 0.6j) * s
     return 0.4 - 0.3j + z * (1.1 + z * (0.2j + 0.7 * z))
 
 
-class TestComplexQuad:
-    """Each node is evaluated once, and the values are those of the two-pass quad."""
+class TestQuadEngine:
+    """The one quadrature engine: each node evaluated once, its tolerance on the modulus."""
 
     @pytest.mark.parametrize("measure", [
         msr.PowerTailDensity(1.5),
         msr.MellinConvolution(msr.hardy_measure(), msr.hardy_measure()),
     ], ids=["power-tail", "hardy-hardy"])
-    def test_one_call_per_node_and_same_values(self, measure, monkeypatch):
+    def test_one_call_per_node_and_spectral_values(self, measure, monkeypatch):
+        # cubic(s) is f(z s) for this f at z = 0.9+0.6j, so integrate(cubic) is the image at z
+        f = entire.CoeffFunction([0.4 - 0.3j, 1.1, 0.2j, 0.7])
+        want = apply_spectral(HausdorffOperator(measure), f)(0.9 + 0.6j)
         got = measure.integrate(cubic)
-        with monkeypatch.context() as mp:
-            mp.setattr(msr, "_complex_quad", two_pass_complex_quad)
-            want = measure.integrate(cubic)
-        assert got == want and got.imag != 0.0
+        assert abs(got - want) <= 1e-10 * abs(want) and got.imag != 0.0
 
         calls_per_quad = []
-        memoised = msr._complex_quad
+        engine = msr._quad
 
         def counted(func, lo, hi, **weight):
             calls = collections.Counter()
@@ -221,19 +206,30 @@ class TestComplexQuad:
                 calls[u] += 1
                 return func(u)
 
-            return memoised(counting, lo, hi, **weight)
+            return engine(counting, lo, hi, **weight)
 
-        monkeypatch.setattr(msr, "_complex_quad", counted)
+        monkeypatch.setattr(msr, "_quad", counted)
         assert measure.integrate(cubic) == got
         assert calls_per_quad and all(max(calls.values()) == 1 for calls in calls_per_quad)
 
-    def test_real_integrand_takes_one_quad(self, monkeypatch):
-        passes = []
+    def test_real_integrand_takes_the_pilot_and_one_pass(self, monkeypatch):
+        limits = []
         quad = integrate.quad
-        monkeypatch.setattr(integrate, "quad", lambda *a, **kw: passes.append(1) or quad(*a, **kw))
-        value = msr._complex_quad(lambda u: math.exp(-2.0 * u), 0.0, np.inf)
-        assert value == pytest.approx(0.5, rel=1e-13) and value.imag == 0.0
-        assert len(passes) == 1
+        monkeypatch.setattr(integrate, "quad",
+                            lambda *a, **kw: limits.append(kw["limit"]) or quad(*a, **kw))
+        value = msr._quad(lambda u: math.exp(-2.0 * u), 0.0, np.inf)
+        assert value == pytest.approx(0.5, rel=1e-13) and isinstance(value, float)
+        assert limits == [2, 400]
+
+    @pytest.mark.parametrize("func, hi", [
+        (lambda u: math.sqrt(-u), 1.0),  # ValueError at every node
+        (lambda u: 1.0 / u, 1.0),  # divergent at 0: quad warns
+        (lambda u: math.exp(u), np.inf),  # OverflowError far out
+        (lambda u: math.inf, 1.0),  # not finite
+    ], ids=["raises", "warns", "overflows", "inf"])
+    def test_every_failure_is_a_divergent_moment(self, func, hi):
+        with pytest.raises(msr.DivergentMoment):
+            msr._quad(func, 0.0, hi)
 
 
 class TestNormalize:
