@@ -9,7 +9,7 @@ Norm conventions, for f entire, 0 < p, q <= inf, alpha > 0:
 
 Factorials and powers overflow long before the interesting degrees do, so
 every accumulation happens on logarithms; only the final norm is
-exponentiated.
+exponentiated.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, logsumexp
 
-from .entire import CoeffFunction
+from .entire import CoeffFunction, log_factorials, logsumexp
 
 INF = float("inf")
 
@@ -290,7 +289,7 @@ def _log_radial_integral(coeffs: np.ndarray, p: float, q: float, alpha: float) -
 def _log_norm_2_exact(coeffs: np.ndarray, alpha: float) -> float:
     la = _log_abs(coeffs)
     n = np.arange(len(coeffs), dtype=float)
-    terms = 2.0 * la + gammaln(n + 1.0) - n * math.log(alpha)
+    terms = 2.0 * la + log_factorials(len(coeffs) - 1) - n * math.log(alpha)
     finite = np.isfinite(terms)
     if not finite.any():
         return -np.inf
@@ -340,7 +339,7 @@ def log_monomial_norm(n: int, p: float, alpha: float) -> float:
             return 0.0
         return 0.5 * n * (math.log(n) - math.log(alpha) - 1.0)
     half_np = 0.5 * n * p
-    return (half_np * math.log(2.0 / (alpha * p)) + gammaln(half_np + 1.0)) / p
+    return (half_np * math.log(2.0 / (alpha * p)) + math.lgamma(half_np + 1.0)) / p
 
 
 def monomial_norm_closed(n: int, p: float, alpha: float) -> float:
@@ -364,7 +363,8 @@ def coeff_weighted_lp(f: CoeffFunction, p: float, alpha: float,
         raise ValueError("alpha must be positive")
     la = _log_abs(f.coeffs)
     n = np.arange(len(f.coeffs), dtype=float)
-    logw = la + 0.5 * (gammaln(n + 1.0) - n * math.log(alpha)) + gamma * np.log(n + 1.0)
+    logw = (la + 0.5 * (log_factorials(len(f.coeffs) - 1) - n * math.log(alpha))
+            + gamma * np.log(n + 1.0))
     finite = np.isfinite(logw)
     if not finite.any():
         return 0.0

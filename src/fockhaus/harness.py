@@ -15,10 +15,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import classify, measure as msr
-from .entire import CoeffFunction, kernel, monomial, rademacher_randomize
+from .entire import (
+    CoeffFunction,
+    kernel,
+    log_factorials,
+    logsumexp,
+    monomial,
+    rademacher_randomize,
+)
 from .focknorm import (
     INF,
     FockParams,
@@ -362,7 +368,7 @@ def _exp_weighted_ratio(log_gamma_n, delta: float, x: float) -> float:
     """log of [sum_n gamma_n (n+1)^delta x^n / n!] minus x."""
     n_hi = int(x + 20.0 * math.sqrt(x) + 60.0)
     n = np.arange(n_hi + 1, dtype=float)
-    terms = log_gamma_n(n) + delta * np.log(n + 1.0) + n * math.log(x) - gammaln(n + 1.0)
+    terms = log_gamma_n(n) + delta * np.log(n + 1.0) + n * math.log(x) - log_factorials(n_hi)
     return float(logsumexp(terms) - x)
 
 

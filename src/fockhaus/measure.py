@@ -12,7 +12,11 @@ integral of |f| (so it holds on the modulus of a complex integral, not per
 part), and a failure of any kind raises DivergentMoment.  Density moments and
 support masses call it after the substitution t = e**u; the operator's
 quadrature action and the support masses of Mellin products go through one
-structural recursion, ``integrate(h)``, which calls it once per density.
+structural recursion, ``integrate(h)``, which calls it once per density.  The
+engine is QUADPACK through scipy.integrate.quad.  scipy is imported only where
+it is used: scipy.integrate inside ``_quad``, on the first quadrature, and
+scipy.special with the first beta-tail moments; atoms, the other closed-form
+moments and the norms need numpy alone.
 
 A measure keeps its own moments.  ``log_moments(n_max)`` is the read-only array
 log mu_0..log mu_{n_max} (and any computed past n_max), grown on each leaf
@@ -35,8 +39,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
 
 
 class DivergentMoment(Exception):
@@ -440,12 +442,15 @@ class BetaTailDensity(MeasureSpec):
                 f"beta-tail integral with exponent {exponent:g} diverges"
             )
         return (
-            math.exp(gammaln(self.b) + gammaln(second) - gammaln(self.b + second)),
+            math.exp(math.lgamma(self.b) + math.lgamma(second) - math.lgamma(self.b + second)),
             CLOSED_FORM,
         )
 
     def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
-        # the same sums as weighted_mass(-n), so the same roundings
+        # the sums of weighted_mass(-n), on scipy's gammaln (which math.lgamma may
+        # differ from in the last bit); scipy.special loads with the first beta moments
+        from scipy.special import gammaln
+
         second = self.a + np.arange(n_min, n_max + 1.0) - self.b + 1.0
         return gammaln(self.b) + gammaln(second) - gammaln(self.b + second)
 
@@ -456,7 +461,7 @@ class BetaTailDensity(MeasureSpec):
         # Then m and n+a are squeezed against (n+1).
         a, b = self.a, self.b
         m0 = 1.0 + a - b
-        gb = math.exp(gammaln(b))
+        gb = math.exp(math.lgamma(b))
         m_factor = min(1.0, m0) ** (-b)  # m >= min(1, m0)*(n+1)
         m_factor_lo = max(1.0, m0) ** (-b)  # m <= max(1, m0)*(n+1)
         if b >= 1.0:  # n+a <= max(1, a)*(n+1)
@@ -500,6 +505,8 @@ def _quad(func, lo, hi, **weight):
     OverflowError or ValueError, a quad warning, a non-finite value or an error
     estimate above 1e-6 of the pilot (or of |value|, if larger) raise DivergentMoment.
     """
+    from scipy import integrate  # scipy loads on the first quadrature, not with the package
+
     values = {}
 
     def at(u):

@@ -1,10 +1,15 @@
 import json
+import os
+import pathlib
 import signal
+import subprocess
+import sys
 import warnings
 
 import pytest
 
-from fockhaus import cli
+import fockhaus
+from fockhaus import cli, measure
 
 
 def test_apply_quadrature_on_beta_tail(capsys):
@@ -119,3 +124,38 @@ def test_image_past_double_range_is_a_precondition_failure(flags, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert "DomainError" in err and "nan" not in err.lower()
+
+
+# -- cold start: scipy loads with the first quadrature, not with the package ------------------
+
+_SCIPY_MODULES = ("import sys; print(sorted(m for m in sys.modules "
+                  "if m == 'scipy' or m.startswith('scipy.')))")
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of code run by a new interpreter that imports this fockhaus."""
+    src = str(pathlib.Path(fockhaus.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout
+
+
+@pytest.mark.parametrize("code", [
+    "import fockhaus.cli",
+    "from fockhaus import cli; cli.main(['norm', '--fn', 'kernel:1:1:0', '--p', '1'])",
+    "from fockhaus import cli; cli.main(['classify', '--measure', 'geom:0.5:2'])",
+])
+def test_no_scipy_module_loads_without_a_quadrature(code):
+    assert _fresh_python(f"{code}\n{_SCIPY_MODULES}").splitlines()[-1] == "[]"
+
+
+def test_a_density_loads_scipy_integrate_with_its_first_quadrature():
+    build = "from fockhaus import measure; m = measure.Density(lambda t: t**-1.5, (0.8, 2.5))"
+    before, after, mu0 = _fresh_python(
+        "import sys; print('scipy.integrate' in sys.modules)\n"
+        f"{build}\nprint('scipy.integrate' in sys.modules); print(repr(m.mu0))").split()
+    assert (before, after) == ("False", "True")
+    # mu0 = integral of t**-2.5 over (0.8, 2.5)
+    assert float(mu0) == pytest.approx((0.8**-1.5 - 2.5**-1.5) / 1.5, rel=1e-12)
+    assert float(mu0) == measure.Density(lambda t: t**-1.5, (0.8, 2.5)).mu0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,3 +157,62 @@ class TestCoeffFunction:
         g = entire.from_json(f.to_json())
         assert g == f
         assert f.to_json_dict() == {"coeffs": [[1.0, 2.0], [0.5, 0.0]]}
+
+    @pytest.mark.parametrize("z", [0.7 + 0.2j, 2.0, 0, np.float64(-1.5), np.complex128(3j),
+                                   np.array(0.5 - 0.5j)])
+    def test_scalar_evaluation_matches_array_evaluation(self, z):
+        # scalar and array complex products may round the last bit differently
+        f = entire.kernel(1.0, 0.5 + 0.3j)
+        value = f(z)
+        assert isinstance(value, complex)
+        assert value == pytest.approx(f(np.array([z]))[0], rel=4e-16, abs=0)
+
+
+class TestLogHelpers:
+    """log_factorials and logsumexp against the scipy.special functions they replace."""
+
+    def test_log_factorials_are_gammaln_bit_for_bit(self):
+        from scipy.special import gammaln
+
+        k = np.arange(16385.0)
+        np.testing.assert_array_equal(entire.log_factorials(16384), gammaln(k + 1.0))
+
+    def test_log_factorials_are_views_of_one_read_only_table(self):
+        long = entire.log_factorials(5000)
+        short = entire.log_factorials(10)
+        assert len(short) == 11 and len(long) == 5001
+        assert np.shares_memory(short, long)
+        assert not long.flags.writeable and not short.flags.writeable
+
+    def test_rows_match_scipy(self):
+        # the shape of _log_mean_2: one row per radius, -inf past the first column at radius 0
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(1)
+        a = rng.normal(scale=40.0, size=(64, 50))
+        a[0, 1:] = -np.inf
+        a[1] = -np.inf
+        a[2, [3, 7]] = a[2].max() + 1.0  # a tied maximum
+        got, want = entire.logsumexp(a, axis=1), logsumexp(a, axis=1)
+        assert got[1] == want[1] == -np.inf
+        finite = np.isfinite(want)
+        np.testing.assert_array_max_ulp(got[finite], want[finite], maxulp=1)
+
+    def test_weighted_sum_matches_scipy(self):
+        # the shape of the radial integral: 1-D log-integrand with quadrature weights
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(2)
+        for size in (1, 24, 600):
+            a, b = rng.normal(scale=30.0, size=size), rng.random(size) + 1e-3
+            np.testing.assert_array_max_ulp(entire.logsumexp(a, b=b), logsumexp(a, b=b),
+                                            maxulp=1)
+            np.testing.assert_array_max_ulp(entire.logsumexp(a), logsumexp(a), maxulp=1)
+
+    def test_all_minus_inf_gives_minus_inf_without_a_warning(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert entire.logsumexp(np.full(5, -np.inf)) == -np.inf
+            assert entire.logsumexp(np.full(3, -np.inf), b=np.ones(3)) == -np.inf
+            np.testing.assert_array_equal(
+                entire.logsumexp(np.full((2, 4), -np.inf), axis=1), [-np.inf, -np.inf])
