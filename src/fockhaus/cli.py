@@ -8,6 +8,7 @@ error, 2 mathematical precondition failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -183,13 +184,7 @@ def main(argv=None) -> int:
             rep = measure.support_report(m)
             dossier = {
                 "measure": m.to_json_dict(),
-                "support": {
-                    "inf_support": rep.inf_support,
-                    "mass_below_1": rep.mass_below_1,
-                    "mass_at_1": rep.mass_at_1,
-                    "mass_unit_interval": rep.mass_unit_interval,
-                    "total_weighted_mass": rep.total_weighted_mass,
-                },
+                "support": dataclasses.asdict(rep),
                 "moments": seq.values,
                 "moment_methods": seq.methods,
                 "criteria": [

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .entire import CoeffFunction, log_factorials, logsumexp
+from .entire import CoeffFunction, log_factorials, logsumexp, unit_phases
 
 INF = float("inf")
 
@@ -124,10 +124,7 @@ def _scaled_rows(coeffs: np.ndarray, radii: np.ndarray):
     finite = L > -np.inf
     scaled = np.zeros_like(log_terms)
     scaled[finite] = np.exp(log_terms[finite] - L[finite, None])
-    phases = np.ones(len(coeffs), dtype=complex)
-    nz = coeffs != 0
-    phases[nz] = coeffs[nz] / np.abs(coeffs[nz])
-    return scaled * phases[None, :], L
+    return scaled * unit_phases(coeffs)[None, :], L
 
 
 def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray) -> np.ndarray:
@@ -286,22 +283,13 @@ def _log_radial_integral(coeffs: np.ndarray, p: float, q: float, alpha: float) -
     )
 
 
-def _log_norm_2_exact(coeffs: np.ndarray, alpha: float) -> float:
-    la = _log_abs(coeffs)
-    n = np.arange(len(coeffs), dtype=float)
-    terms = 2.0 * la + log_factorials(len(coeffs) - 1) - n * math.log(alpha)
-    finite = np.isfinite(terms)
-    if not finite.any():
-        return -np.inf
-    return 0.5 * float(logsumexp(terms[finite]))
-
-
 def fock_norm(f: CoeffFunction, p: float, alpha: float, method: str = "auto") -> float:
     """||f||_{p,alpha}.
 
-    method = "auto" uses the exact coefficient series at p = 2 and radial
-    quadrature otherwise; "quadrature" forces the integral route (p = inf
-    always goes through the sup search).
+    method = "auto" uses the exact coefficient series at p = 2, which is
+    coeff_weighted_lp(f, 2, alpha) = (sum |a_n|**2 n!/alpha**n)**(1/2), and
+    radial quadrature otherwise; "quadrature" forces the integral route
+    (p = inf always goes through the sup search).
     """
     p = _check_exponent(p)
     if alpha <= 0:
@@ -311,7 +299,7 @@ def fock_norm(f: CoeffFunction, p: float, alpha: float, method: str = "auto") ->
     if p == INF:
         return float(np.exp(_log_radial_sup(f.coeffs, INF, alpha)))
     if p == 2.0 and method == "auto":
-        return float(np.exp(_log_norm_2_exact(f.coeffs, alpha)))
+        return coeff_weighted_lp(f, 2.0, alpha)
     log_int = _log_radial_integral(f.coeffs, p, p, alpha)
     return float(np.exp(log_int / p))
 

@@ -10,8 +10,6 @@ against first-build values, never asserted at paper-unspecified levels.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,14 +95,6 @@ def build_corpus(spec: CorpusSpec) -> list[CoeffFunction]:
     return out
 
 
-def _map(fn, items):
-    threads = int(os.environ.get("FOCK_THREADS", "1"))
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- embeddings ---------------------------------------------------------------
 
 
@@ -112,12 +102,10 @@ def check_embeddings(spec: CorpusSpec, alpha: float = 1.0) -> list[PropertyResul
     """Monotonicity in p and the quantified comparison between q-exponents."""
     corpus = build_corpus(spec)
 
-    def norm_table(f):
-        return {
-            (p, q): mixed_norm(f, FockParams(p, q, alpha)) for p in P_GRID for q in P_GRID
-        }
-
-    tables = _map(norm_table, corpus)
+    tables = [
+        {(p, q): mixed_norm(f, FockParams(p, q, alpha)) for p in P_GRID for q in P_GRID}
+        for f in corpus
+    ]
 
     p_viol = q_viol = 0
     p_trials = q_trials = 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure as msr
-from .entire import CoeffFunction
+from .entire import CoeffFunction, unit_phases
 from .focknorm import INF, _check_exponent, log_monomial_norm
 from .measure import DomainError, MeasureSpec
 
@@ -70,7 +70,7 @@ def apply_spectral(op: HausdorffOperator, f: CoeffFunction) -> CoeffFunction:
     coeffs = f.coeffs * np.where(mu == np.inf, 0.0, mu)
     far = ((mu < np.finfo(float).tiny) | (mu == np.inf)) & (f.coeffs != 0)
     a = f.coeffs[far]
-    coeffs[far] = a / np.abs(a) * np.exp(np.log(np.abs(a)) + log_mu[far])
+    coeffs[far] = unit_phases(a) * np.exp(np.log(np.abs(a)) + log_mu[far])
     return CoeffFunction(coeffs, label=f.label)
 
 

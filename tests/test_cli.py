@@ -126,6 +126,17 @@ def test_image_past_double_range_is_a_precondition_failure(flags, capsys):
     assert "DomainError" in err and "nan" not in err.lower()
 
 
+def test_subnormal_coefficient_norm(tmp_path, capsys):
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"coeffs": [[1.0, 0.0], [0.0, 0.0], [1e-320, 0.0]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["norm", "--fn", str(fn), "--p", "0.5"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert float(out) == pytest.approx(1.0, rel=1e-12)
+
+
 # -- cold start: scipy loads with the first quadrature, not with the package ------------------
 
 _SCIPY_MODULES = ("import sys; print(sorted(m for m in sys.modules "

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -168,14 +169,41 @@ class TestCoeffFunction:
         assert value == pytest.approx(f(np.array([z]))[0], rel=4e-16, abs=0)
 
 
+class TestUnitPhases:
+    def test_normal_entries_keep_their_bits(self):
+        c = np.array([3.0 + 4.0j, -1e-300, 2.5e300j, 0.1 - 0.7j])
+        got = entire.unit_phases(c)
+        assert got.tobytes() == (c / np.abs(c)).tobytes()
+
+    def test_subnormal_entries_and_zeros(self):
+        # numpy's complex division overflows on these: 1/|c| is past double range
+        c = np.array([1e-320, -1e-320j, 3 * 2.0**-1074 + 4j * 2.0**-1074, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                got = entire.unit_phases(c)
+        np.testing.assert_allclose(got, [1.0, -1j, 0.6 + 0.8j, 1.0], rtol=1e-15, atol=0)
+
+
 class TestLogHelpers:
-    """log_factorials and logsumexp against the scipy.special functions they replace."""
+    """log_factorials, kernel coefficients and logsumexp against independent references."""
 
-    def test_log_factorials_are_gammaln_bit_for_bit(self):
-        from scipy.special import gammaln
+    def test_log_factorials_are_lgamma(self):
+        want = [math.lgamma(k + 1.0) for k in range(5001)]
+        np.testing.assert_array_equal(entire.log_factorials(5000), want)
 
-        k = np.arange(16385.0)
-        np.testing.assert_array_equal(entire.log_factorials(16384), gammaln(k + 1.0))
+    @pytest.mark.parametrize("scale", [10.0, 7.3, 2.0, 0.37])
+    def test_kernel_coefficients_match_exact_rationals(self, scale):
+        # |c_n| = scale**n / n! in exact arithmetic on the double scale; a = 1 makes the
+        # phase exactly 1.  Entries past the normal range round to the subnormal grid,
+        # so only normal ones are compared
+        mags = np.abs(entire.kernel(scale, 1.0, n_max=250, radius=1.0).coeffs)
+        worst = 0.0
+        for n, got in enumerate(mags):
+            exact = Fraction(scale) ** n / math.factorial(n)
+            if exact >= np.finfo(float).tiny:
+                worst = max(worst, float(abs(Fraction(float(got)) - exact) / exact))
+        assert worst <= 1e-14
 
     def test_log_factorials_are_views_of_one_read_only_table(self):
         long = entire.log_factorials(5000)

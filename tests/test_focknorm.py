@@ -109,6 +109,19 @@ class TestFockNorm:
         expected = math.sqrt(1.0 + 4.0 * 1.0 + 0.25 * 6.0)
         assert fock_norm(f, 2.0, 1.0) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 4.0, INF])
+    def test_subnormal_coefficient_leaves_the_norm_at_one(self, p):
+        # the phase of 1e-320 once overflowed to NaN and dropped every radius: norm 0
+        f = entire.CoeffFunction([1.0, 0.0, 1e-320])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fock_norm(f, p, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+    def test_kernel_with_subnormal_tail_coefficients(self):
+        k = entire.kernel(2.0, 5.0, n_max=300)
+        assert np.abs(k.coeffs[-1]) < np.finfo(float).tiny
+        assert fock_norm(k, 1.0, 1.0) == pytest.approx(math.exp(50.0), rel=1e-10)
+
 
 class TestMixedNorm:
     def test_equal_exponents_match_fock_norm(self):

@@ -55,6 +55,7 @@ class TestSpectral:
         (1e-200, [1.0, 0.0, -3e-301 + 4e-301j], [1.0, 0.0, -3e99 + 4e99j]),
         (1e200, [1.0, 2.0, 1e300], [1.0, 2e-200, 1e-100]),  # mu_2 = 1e-400 underflows
         (1e-200, [1.0, 0.0, 0.0, 1e-300], [1.0, 0.0, 0.0, 1e300]),  # 0 * mu_2 stays 0
+        (2.0**-600, [1.0, 0.0, -1j * 2.0**-1070], [1.0, 0.0, -1j * 2.0**130]),  # subnormal a_2
     ])
     def test_image_in_double_range_while_the_moment_is_not(self, t, coeffs, want):
         op = HausdorffOperator(msr.dirac(t))
