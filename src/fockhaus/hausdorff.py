@@ -77,18 +77,17 @@ def apply_spectral(op: HausdorffOperator, f: CoeffFunction) -> CoeffFunction:
 def apply_quadrature(op: HausdorffOperator, f: CoeffFunction, z_samples) -> np.ndarray:
     """Evaluate the defining integral of the transformed function at sample points.
 
-    The integral of f(z/t) dmu(t)/t is ``measure.integrate(lambda s: f(z * s))``
-    in the contraction factor s = 1/t: atoms are summed exactly, a Mellin product
-    nests its factors' integrals, and densities go through the one quadrature engine,
-    whose tolerance holds on the modulus of the value and which raises DivergentMoment
-    for an integral that does not converge.  This is the oracle for apply_spectral.
+    The integral of f(z/t) dmu(t)/t is ``measure.integrate(h)`` in the contraction
+    factor s = 1/t, with h(s) = f(z s) for every sample z at once: atoms are
+    summed exactly, the tails and densities go through Gauss rules whose panels
+    bisect until two rules agree on the modulus of every value, a Mellin product
+    evaluates its grid of nodes in one call, and an integral that does not
+    converge raises DivergentMoment.  This is the oracle for apply_spectral.
     """
     _image_log_moments(op, f)
-    out = [
-        op.measure.integrate(lambda s: f(z * s))
-        for z in np.atleast_1d(np.asarray(z_samples, dtype=complex))
-    ]
-    return np.array(out, dtype=complex)
+    zs = np.atleast_1d(np.asarray(z_samples, dtype=complex))
+    values = op.measure.integrate(lambda s: f(np.multiply.outer(s, zs)))
+    return np.asarray(values, dtype=complex)
 
 
 @dataclass(frozen=True)

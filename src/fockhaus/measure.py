@@ -6,39 +6,46 @@ convolutions, scalings) and never sampled.  Moments
     mu_n = integral over (0, inf) of t**-(n+1) dmu(t)
 
 are computed in closed form where the family admits one and by quadrature
-otherwise.  Every quadrature in the package goes through one engine, ``_quad``:
-each node is evaluated once, the tolerance QUAD_REL_TOL is relative to a pilot
-integral of |f| (so it holds on the modulus of a complex integral, not per
-part), and a failure of any kind raises DivergentMoment.  Density moments and
-support masses call it after the substitution t = e**u; the operator's
-quadrature action and the support masses of Mellin products go through one
-structural recursion, ``integrate(h)``, which calls it once per density.  The
-engine is QUADPACK through scipy.integrate.quad.  scipy is imported only where
-it is used: scipy.integrate inside ``_quad``, on the first quadrature, and
-scipy.special with the first beta-tail moments; atoms, the other closed-form
-moments and the norms need numpy alone.
+otherwise, with numpy alone.  The quadrature rules are Gauss rules built by
+Golub & Welsch ("Calculation of Gauss quadrature rules", Math. Comp. 23, 1969)
+from np.linalg.eigvalsh on first use.  One engine, ``_adapt``, integrates a
+vectorised integrand over a finite interval with endpoint powers: every round
+evaluates the 8- and 16-node rules of each pending panel in one call, and
+bisects the panels on which they disagree by more than QUAD_REL_TOL of the
+integral of |f|, so the tolerance holds on the modulus of a complex value.  An
+integrand that raises or is not finite, rules that never agree, and a Density
+value past PLAUSIBILITY_BOUND raise DivergentMoment.
+
+The operator's quadrature action and the support masses of Mellin products go
+through one structural recursion, ``integrate(h)``, in the contraction factor
+s = 1/t: atoms are summed, the power and beta tails are Gauss-Jacobi rules in
+s, a Density is Gauss-Legendre panels in u = log t, and a Mellin product hands
+its inner factor the whole grid of nodes at once.  Density moments take every
+index from one node set per level: the panels the engine chose for mu_0, cut
+in half at each level, with each index kept at the first level that agrees
+with the one before, so no moment depends on which others were asked with it.
 
 A measure keeps its own moments.  ``log_moments(n_max)`` is the read-only array
 log mu_0..log mu_{n_max} (and any computed past n_max), grown on each leaf
-measure: closed forms in doubling chunks (from 64) through each class's
-vectorised ``_log_moments``, quadrature one index at a time, so a scan that
-stops early computes no quadrature moment past its stop.  A scaling or a Mellin
-product keeps no array: it returns log c plus its inner measure's array, or the
-sum over the shorter of its factors' arrays, whole, so ``normalize(m)`` hands a
-scan every moment m holds at once.  Past double range a moment reads inf,
-without a warning.
+measure in doubling chunks (from 64) through each class's vectorised
+``_log_moments``; a Density keeps the moments of a chunk up to the first one
+that fails, and raises DivergentMoment only for an index asked for.  A scaling
+or a Mellin product keeps no array: it returns log c plus its inner measure's
+array, or the sum over the shorter of its factors' arrays, whole, so
+``normalize(m)`` hands a scan every moment m holds at once.  Past double range
+a moment reads inf, without a warning.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .entire import logsumexp
 
 
 class DivergentMoment(Exception):
@@ -122,8 +129,12 @@ class MeasureSpec:
     def has_atoms(self) -> bool:
         return False
 
-    def mass_below(self, x: float) -> float:
-        """mu((0, x)), exact where the structure allows."""
+    def mass_below(self, x):
+        """mu((0, x)), exact where the structure allows.
+
+        Elementwise over an array x for a measure without atoms, which is how a
+        product's mass function calls its atomless factor.
+        """
         raise NotImplementedError
 
     def mass_at(self, x: float) -> float:
@@ -140,15 +151,22 @@ class MeasureSpec:
     # -- integrals ---------------------------------------------------------
 
     def integrate(self, h):
-        """integral of h(s) dmu(t)/t in the contraction factor s = 1/t, h real or complex.
+        """integral of h(s) dmu(t)/t in the contraction factor s = 1/t.
 
-        The operator's action at z is ``integrate(lambda s: f(z * s))``.  Atoms are
-        summed, densities go through the engine ``_quad``, and the beta tail's
-        rule samples the ends of (0, 1), so h may be called at s = 0.  A
-        product of two atomless factors integrates one factor's mass function over
-        the other with it; an atomic factor is the outer one and goes through
-        ``sum_atoms`` instead: its sum is exact there, while an atomic inner factor
-        would hand quadrature a step function.
+        h is vectorised: it takes an array of s and returns its values, real or
+        complex, with the shape of s followed by any trailing shape, which the
+        integral keeps; the operator's action at the points zs is
+        ``integrate(lambda s: f(np.multiply.outer(s, zs)))``.  Atoms are summed
+        exactly.  The power and beta tails are Gauss-Jacobi rules in s with
+        their weights s**(a-1) and s**(a-b) (1-s)**(b-1), a Density is a
+        Gauss-Legendre rule in u = log t, and each bisects the panels on which
+        two rules disagree (see ``_adapt``); h is never called at an end of
+        the interval.  A Mellin product hands its inner factor the grid of
+        inner times outer nodes in one call.  A product of two atomless factors
+        integrates one factor's mass function over the other with it; an atomic
+        factor is the outer one and goes through ``sum_atoms`` instead: its sum
+        is exact there, while an atomic inner factor would hand quadrature a
+        step function.  Every failure raises DivergentMoment.
         """
         raise NotImplementedError
 
@@ -163,19 +181,23 @@ class MeasureSpec:
     _log_mu = np.empty(0)  # the moments computed so far; each instance grows its own
 
     def log_moments(self, n_max: int) -> np.ndarray:
-        """log mu_0..log mu_{n_max} and any computed past n_max, kept on the measure, read-only."""
+        """log mu_0..log mu_{n_max} and any computed past n_max, kept on the measure, read-only.
+
+        The array grows in doubling chunks (from 64).
+        """
         if n_max < 0:
             raise ValueError("moment index must be >= 0")
         have = len(self._log_mu)
         if n_max >= have:
-            stop = max(n_max, 2 * have - 1, 63) if self.closed_form else n_max
-            self._log_mu = _read_only(np.append(self._log_mu, self._log_moments(have, stop)))
+            more = self._log_moments(have, max(n_max, 2 * have - 1, 63))
+            self._log_mu = _read_only(np.append(self._log_mu, more))
+            if n_max >= len(self._log_mu):
+                raise DivergentMoment(f"mu_{len(self._log_mu)} has no quadrature value")
         return self._log_mu
 
     def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
-        """log mu_{n_min}..log mu_{n_max}; here one weighted_mass per index."""
-        with np.errstate(divide="ignore"):
-            return np.log([self.weighted_mass(-float(n))[0] for n in range(n_min, n_max + 1)])
+        """log mu_{n_min}..log mu_{n_max}, or those before the first that failed."""
+        raise NotImplementedError
 
     # -- decay certificates --------------------------------------------------
 
@@ -285,7 +307,8 @@ class PointMasses(MeasureSpec):
         return sum(lam for lam, t in self.atoms if t == x)
 
     def integrate(self, h):
-        return sum((lam / t) * h(1.0 / t) for lam, t in self.atoms)
+        lam, t = np.array(self.atoms).T
+        return np.einsum("k,k...->...", lam / t, _evaluate(h, 1.0 / t))
 
     def sum_atoms(self, g, x: float) -> float:
         return sum(lam * g(x / t) for lam, t in self.atoms)
@@ -363,17 +386,15 @@ class PowerTailDensity(MeasureSpec):
     def inf_support(self) -> float:
         return 1.0
 
-    def mass_below(self, x: float) -> float:
-        if x <= 1.0:
-            return 0.0
+    def mass_below(self, x):
+        x = np.maximum(x, 1.0)  # no mass below 1
         if self.a == 1.0:
-            return math.log(x)
+            return np.log(x)
         return (1.0 - x ** (1.0 - self.a)) / (self.a - 1.0)
 
     def integrate(self, h):
-        # in u = log t the density e**(-a u) stays in log form, inside double range
-        a = self.a
-        return _quad(lambda u: h(math.exp(-u)) * math.exp(-a * u), 0.0, np.inf)
+        # s = 1/t turns t**-a dt/t on (1, inf) into s**(a-1) ds on (0, 1)
+        return _integrate(h, 0.0, 1.0, alpha=self.a - 1.0)
 
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         if exponent >= self.a:
@@ -410,6 +431,36 @@ def beta_moment(a: float, b: float, n: int) -> float:
     return BetaTailDensity(a, b).weighted_mass(-float(n))[0]
 
 
+# B_2k / (2k (2k-1)), k = 1..6: Stirling's series for log Gamma
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0)
+
+
+def _log_beta(b: float, s: np.ndarray) -> np.ndarray:
+    """log B(b, s) = lgamma(b) + lgamma(s) - lgamma(b + s) for an array s > 0.
+
+    Below 16 through math.lgamma.  From 16 on, the difference of the two
+    Stirling series, with its leading terms as (s - 1/2) log1p(b/s) + b log(s + b) - b,
+    so that nothing cancels: within ~1e-14 of the exact value at s = 2e4, where
+    the difference of two math.lgamma values is off by ~6e-11.
+    """
+    out = np.empty_like(s)
+    small = s < 16.0
+    out[small] = [math.lgamma(x) - math.lgamma(b + x) for x in s[small].tolist()]
+    x = s[~small]
+    y = x + b
+
+    def series(v):  # sum of c_k v**(1-2k), by Horner's rule in 1/v**2
+        w = 1.0 / (v * v)
+        acc = np.full_like(v, _STIRLING[-1])
+        for c in _STIRLING[-2::-1]:
+            acc = acc * w + c
+        return acc / v
+
+    out[~small] = b - (x - 0.5) * np.log1p(b / x) - b * np.log(y) - (series(y) - series(x))
+    return math.lgamma(b) + out
+
+
 class BetaTailDensity(MeasureSpec):
     """Density (t-1)**(b-1) * t**-a on (1, inf), a+1 > b > 0."""
 
@@ -424,16 +475,22 @@ class BetaTailDensity(MeasureSpec):
     def inf_support(self) -> float:
         return 1.0
 
-    def mass_below(self, x: float) -> float:
-        if x <= 1.0:
+    def mass_below(self, x):
+        # in s = 1/t the mass below x is s**(a-b-1) (1-s)**(b-1) ds over (c, 1), c = 1/x;
+        # s = c + (1-c) y maps it to (0, 1), where the Gauss-Jacobi rule carries (1-y)**(b-1)
+        if np.ndim(x) == 0 and x <= 1.0:
             return 0.0
-        return _log_substituted_quad(lambda t: (t - 1.0) ** (self.b - 1.0) * t**-self.a, 1.0, x)
+        a, b = self.a, self.b
+        c = 1.0 / np.maximum(x, 1.0)
+        power = _integrate(lambda y: (c + np.multiply.outer(y, 1.0 - c)) ** (a - b - 1.0),
+                           0.0, 1.0, beta=b - 1.0)
+        return (1.0 - c) ** b * power
 
     def integrate(self, h):
         # s = 1/t turns (t-1)**(b-1) t**-a dt/t on (1, inf) into s**(a-b) (1-s)**(b-1) ds
-        # on (0, 1); quad's algebraic weight carries both endpoint powers (each > -1
+        # on (0, 1); the Gauss-Jacobi rule carries both endpoint powers (each > -1
         # since a+1 > b > 0), which leaves h as the whole integrand
-        return _quad(h, 0.0, 1.0, weight="alg", wvar=(self.a - self.b, self.b - 1.0))
+        return _integrate(h, 0.0, 1.0, alpha=self.a - self.b, beta=self.b - 1.0)
 
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         second = self.a - exponent - self.b + 1.0
@@ -441,18 +498,10 @@ class BetaTailDensity(MeasureSpec):
             raise DivergentMoment(
                 f"beta-tail integral with exponent {exponent:g} diverges"
             )
-        return (
-            math.exp(math.lgamma(self.b) + math.lgamma(second) - math.lgamma(self.b + second)),
-            CLOSED_FORM,
-        )
+        return math.exp(_log_beta(self.b, np.array([second]))[0]), CLOSED_FORM
 
     def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
-        # the sums of weighted_mass(-n), on scipy's gammaln (which math.lgamma may
-        # differ from in the last bit); scipy.special loads with the first beta moments
-        from scipy.special import gammaln
-
-        second = self.a + np.arange(n_min, n_max + 1.0) - self.b + 1.0
-        return gammaln(self.b) + gammaln(second) - gammaln(self.b + second)
+        return _log_beta(self.b, self.a + np.arange(n_min, n_max + 1.0) - self.b + 1.0)
 
     def _envelope_consts(self) -> tuple[float, float]:
         # B(b,m), m = n+m0, m0 = 1+a-b > 0.  For b >= 1, u*exp(-u) <= 1-exp(-u) <= u inside
@@ -493,74 +542,178 @@ class BetaTailDensity(MeasureSpec):
 
 
 PLAUSIBILITY_BOUND = 1e50  # desk-scale integrability certificate
+_LOG_PLAUSIBILITY_BOUND = math.log(PLAUSIBILITY_BOUND)
+
+# -- the quadrature engine ---------------------------------------------------------
+
+_NODES = 8  # a panel is measured by its 8- and 16-node Gauss rules
+_MAX_NODES = 128  # the whole interval doubles its nodes up to this before it is split
+_MAX_PANELS = 1024
+_MIN_SHARE = 2.0**-60  # no panel narrower than this share of the interval
+_MAX_LEVEL_NODES = 1 << 15  # nodes of the finest Density level
 
 
-def _quad(func, lo, hi, **weight):
-    """integral of a real or complex func over (lo, hi); ``weight`` passes on to quad.
+@functools.lru_cache(maxsize=512)
+def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss rule for x**alpha (1-x)**beta on (0, 1).
 
-    func is evaluated once per node, in a memo every pass reads.  A two-panel pilot
-    of |func| sets the absolute tolerance QUAD_REL_TOL * pilot of both passes, so a
-    part that cancels stops at the scale of |func|; the imaginary pass runs only if
-    func returned a complex value.  An integrand raising ZeroDivisionError,
-    OverflowError or ValueError, a quad warning, a non-finite value or an error
-    estimate above 1e-6 of the pilot (or of |value|, if larger) raise DivergentMoment.
+    Golub & Welsch, "Calculation of Gauss quadrature rules", Math. Comp. 23 (1969):
+    the nodes are the eigenvalues of the Jacobi matrix of the orthonormal
+    recurrence.  Two Newton steps on p_n polish them, and the weights are the
+    Christoffel numbers 1 / sum of p_k(x)**2 over k < n.  The rule is exact for
+    polynomials of degree up to 2n - 1; alpha, beta > -1.
     """
-    from scipy import integrate  # scipy loads on the first quadrature, not with the package
-
-    values = {}
-
-    def at(u):
-        value = values.get(u)
-        if value is None:
-            try:
-                value = values[u] = func(u)
-            except (ZeroDivisionError, OverflowError, ValueError) as exc:
-                raise DivergentMoment(f"integrand raised {exc!r} at {u:g}") from exc
-        return value
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        # QAWS refuses limit=1
-        pilot = integrate.quad(lambda u: abs(at(u)), lo, hi, limit=2, **weight)[0]
-        is_complex = any(isinstance(v, complex) for v in values.values())
-        parts = (lambda u: at(u).real, lambda u: at(u).imag) if is_complex else (at,)
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        kw = dict(epsabs=QUAD_REL_TOL * pilot, epsrel=QUAD_REL_TOL, limit=400, **weight)
-        try:
-            passes = [integrate.quad(part, lo, hi, **kw) for part in parts]
-        except integrate.IntegrationWarning as exc:
-            raise DivergentMoment(f"quadrature did not converge: {exc}") from exc
-    value = complex(passes[0][0], passes[1][0]) if is_complex else passes[0][0]
-    err = max(e for _, e in passes)
-    if not (math.isfinite(pilot) and cmath.isfinite(value)):
-        raise DivergentMoment("integral is not finite")
-    scale = max(pilot, abs(value))  # a pilot that misses a peak reads low
-    if err > 1e-6 * scale:
-        raise DivergentMoment(f"error estimate {err:g} too large for {scale:g}")
-    return value
+    a, b = beta, alpha  # the Jacobi weight (1-y)**a (1+y)**b in y = 2x - 1
+    k = np.arange(n + 1.0)
+    s = 2.0 * k + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (b * b - a * a) / (s * (s + 2.0))
+        off2 = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    diag[0] = (b - a) / (a + b + 2.0)  # the limits where a + b is 0 or -1
+    off2[1] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    diag = (1.0 + diag[:n]) / 2.0  # the recurrence in x
+    off = np.sqrt(off2[1:]) / 2.0  # off[j] couples p_j and p_(j+1)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    log_mass = math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0)
+    for _ in range(2):
+        p_prev, p = np.zeros(n), np.full(n, math.exp(-0.5 * log_mass))
+        d_prev, d = np.zeros(n), np.zeros(n)
+        squares = p * p
+        for j in range(n):
+            back = off[j - 1] if j else 0.0
+            p_prev, p, d_prev, d = (p, ((x - diag[j]) * p - back * p_prev) / off[j],
+                                    d, ((x - diag[j]) * d + p - back * d_prev) / off[j])
+            if j < n - 1:
+                squares += p * p
+        x = x - p / d
+    return _read_only(x), _read_only(1.0 / squares)
 
 
-def _log_substituted_quad(phi, lo: float, hi: float, exponent: float = 1.0) -> float:
-    """integral of t**(exponent-1) * phi(t) dt over (lo, hi) via t = e**u.
+def _panel_rule(a: float, b: float, lo: float, hi: float, alpha: float, beta: float,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node rule on the panel (a, b) of (lo, hi) for the weight (x-lo)**alpha (hi-x)**beta.
 
-    The substitution turns power decay into exponential decay, which the adaptive
-    rule resolves reliably.  Support touching 0 is cut at t = e**-700 (below double
-    underflow anyway); a value beyond the plausibility bound raises DivergentMoment.
+    A panel at an end of (lo, hi) takes that end's power into its Gauss rule;
+    a power at an end it does not touch is smooth there and goes into the weights.
     """
-    u_lo = math.log(lo) if lo > 0 else -700.0
-    u_hi = math.log(hi) if math.isfinite(hi) else np.inf
-    val = _quad(lambda u: phi(math.exp(u)) * math.exp(u) ** exponent, u_lo, u_hi)
-    if abs(val) > PLAUSIBILITY_BOUND:
-        raise DivergentMoment(f"integral {val:g} is beyond the plausibility bound")
-    return val
+    left = alpha if a == lo else 0.0
+    right = beta if b == hi else 0.0
+    x, w = _gauss_jacobi(n, left, right)
+    nodes = a + (b - a) * x
+    weights = (b - a) ** (1.0 + left + right) * w
+    if left != alpha:
+        weights = weights * (nodes - lo) ** alpha
+    if right != beta:
+        weights = weights * (hi - nodes) ** beta
+    return nodes, weights
+
+
+def _evaluate(h, nodes: np.ndarray) -> np.ndarray:
+    """h at the nodes; DivergentMoment if h raises or returns a value that is not finite."""
+    try:
+        with np.errstate(all="ignore"):
+            values = np.asarray(h(nodes))
+    except (ArithmeticError, ValueError) as exc:
+        raise DivergentMoment(f"integrand raised {exc!r}") from exc
+    if not np.isfinite(values).all():
+        raise DivergentMoment("integrand is not finite")
+    return values
+
+
+def _adapt(h, lo: float, hi: float, alpha: float = 0.0, beta: float = 0.0):
+    """(integral, panels) of h(x) (x-lo)**alpha (hi-x)**beta dx over the finite (lo, hi).
+
+    h takes a 1-d array of nodes and returns its values with the nodes on the
+    first axis, real or complex, with any trailing shape; the integral has that
+    trailing shape.  The error estimate is the difference of a Gauss rule and
+    the one with twice its nodes, and the tolerance is QUAD_REL_TOL of the
+    integral of |h|, in every component.  First the whole interval doubles its
+    nodes from 8 up to _MAX_NODES; an integrand that is not smooth enough for
+    that is split into panels, each measured by its 8- and 16-node rules, and
+    each round bisects the panels whose estimate exceeds their share of the
+    tolerance (or the worst one) until the estimates sum to within it.  Every
+    round calls h once, on all its new nodes.  The panels returned are the
+    final ones, in order.  More than _MAX_PANELS panels, or one narrower than
+    _MIN_SHARE of (lo, hi), raise DivergentMoment.
+    """
+    rules = [_panel_rule(lo, hi, lo, hi, alpha, beta, n) for n in (_NODES, 2 * _NODES)]
+    values = _evaluate(h, np.concatenate([x for x, _ in rules]))
+    coarse = np.einsum("k,k...->...", rules[0][1], values[:_NODES])
+    w, values = rules[1][1], values[_NODES:]
+    while True:
+        fine = np.einsum("k,k...->...", w, values)
+        size = np.einsum("k,k...->...", w, np.abs(values))
+        if np.all(np.abs(fine - coarse) <= QUAD_REL_TOL * size):
+            return fine, np.array([[lo, hi]])
+        if len(w) == _MAX_NODES:
+            break
+        x, w = _panel_rule(lo, hi, lo, hi, alpha, beta, 2 * len(w))
+        coarse, values = fine, _evaluate(h, x)
+
+    done = np.empty((0, 2))
+    value = size = err = 0.0  # of the done panels
+    mid = (lo + hi) / 2.0
+    pending = np.array([[lo, mid], [mid, hi]])
+    while True:
+        rules = [_panel_rule(a, b, lo, hi, alpha, beta, n)
+                 for a, b in pending for n in (_NODES, 2 * _NODES)]
+        values = _evaluate(h, np.concatenate([x for x, _ in rules]))
+        values = values.reshape((len(pending), 3 * _NODES) + values.shape[1:])
+        coarse = np.einsum("pk,pk...->p...", np.array([w for _, w in rules[0::2]]),
+                           values[:, :_NODES])
+        fine_w = np.array([w for _, w in rules[1::2]])
+        fine = np.einsum("pk,pk...->p...", fine_w, values[:, _NODES:])
+        sizes = np.einsum("pk,pk...->p...", fine_w, np.abs(values[:, _NODES:]))
+        errs = np.abs(fine - coarse)
+        total = size + sizes.sum(axis=0)
+        if np.all(err + errs.sum(axis=0) <= QUAD_REL_TOL * total):
+            panels = np.concatenate([done, pending])
+            return value + fine.sum(axis=0), panels[np.argsort(panels[:, 0])]
+        # each panel's estimate against its share of the tolerance, in its worst component
+        share = (pending[:, 1] - pending[:, 0]) / (hi - lo)
+        excess = errs / (QUAD_REL_TOL * np.where(total > 0.0, total, np.inf))
+        excess = excess.reshape(len(pending), -1).max(axis=1, initial=0.0) / share
+        split = excess > 1.0
+        if not split.any():
+            split = excess == excess.max()
+        keep = ~split
+        done = np.concatenate([done, pending[keep]])
+        value = value + fine[keep].sum(axis=0)
+        size = size + sizes[keep].sum(axis=0)
+        err = err + errs[keep].sum(axis=0)
+        rest = pending[split]
+        if len(done) + 2 * len(rest) > _MAX_PANELS or (
+            (rest[:, 1] - rest[:, 0]).min() < _MIN_SHARE * (hi - lo)
+        ):
+            raise DivergentMoment("the Gauss rules did not agree within the panel cap")
+        mid = rest.mean(axis=1)
+        pending = np.concatenate([np.c_[rest[:, 0], mid], np.c_[mid, rest[:, 1]]])
+
+
+def _integrate(h, lo: float, hi: float, alpha: float = 0.0, beta: float = 0.0):
+    """integral of h(x) (x-lo)**alpha (hi-x)**beta dx over (lo, hi); see _adapt."""
+    return _adapt(h, lo, hi, alpha, beta)[0]
+
+
+def _smoothstep(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S(v) = v**2 (3 - 2v) on (0, 1) and its derivative 6 v (1 - v).
+
+    The derivative vanishes at both ends, so a density like (t - a)**-1/2, which
+    Gauss rules resolve only slowly, is smooth in v.
+    """
+    return v * v * (3.0 - 2.0 * v), 6.0 * v * (1.0 - v)
 
 
 class Density(MeasureSpec):
-    """Generic density phi(t) dt on an interval (a, b) within (0, inf).
+    """Generic density phi(t) dt on an interval (a, b) within (0, inf), b finite.
 
-    phi is a positive callable; moments go through adaptive quadrature.
-    mu_0 is evaluated at construction and acts as the integrability
-    certificate: construction fails with DivergentMoment otherwise.
+    phi is a nonnegative callable, called with numpy arrays of t (a constant
+    may return a scalar).  Every integral runs in u = log t, in the variable v
+    in (0, 1) with u = log a + (log b - log a) S(v) (see _smoothstep).  mu_0 is
+    evaluated at construction and acts as the integrability certificate:
+    construction fails with DivergentMoment otherwise, and for b = inf, whose
+    tail in u has no bound here.  Support touching 0 is cut at t = e**-700,
+    below which double precision underflows.
     """
 
     def __init__(self, phi, support: tuple[float, float], label: str | None = None):
@@ -570,35 +723,126 @@ class Density(MeasureSpec):
         self.phi = phi
         self.support = (lo, hi)
         self.label = label
+        self._levels: list[tuple[np.ndarray, np.ndarray]] = []
         self._check_mu0()
 
     @property
     def inf_support(self) -> float:
         return self.support[0]
 
-    def mass_below(self, x: float) -> float:
+    @property
+    def _u_range(self) -> tuple[float, float]:
         lo, hi = self.support
-        if x <= lo:
-            return 0.0
-        return _log_substituted_quad(self.phi, lo, min(hi, x))
+        if not math.isfinite(hi):
+            raise DivergentMoment("a Density needs a finite upper end")
+        return (math.log(lo) if lo > 0 else -700.0), math.log(hi)
+
+    def _phi(self, t: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.asarray(self.phi(t), dtype=float), np.shape(t))
+
+    def _u(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u = log t at v in (0, 1), and du/dv."""
+        u_lo, u_hi = self._u_range
+        step, slope = _smoothstep(v)
+        return u_lo + (u_hi - u_lo) * step, (u_hi - u_lo) * slope
+
+    def mass_below(self, x):
+        """mu((0, x)), elementwise over an array x: phi(e**u) e**u du over (log lo, log x)
+        for each x, mapped to (0, 1) so that one rule serves every x."""
+        u_lo, u_hi = self._u_range
+        with np.errstate(divide="ignore"):
+            width = np.clip(np.log(x), u_lo, u_hi) - u_lo  # 0 for x <= lo
+
+        def mass(v):
+            step, slope = _smoothstep(v)
+            t = np.exp(u_lo + np.multiply.outer(step, width))
+            return self._phi(t) * t * np.multiply.outer(slope, width)
+
+        value = _integrate(mass, 0.0, 1.0)
+        if np.any(value > PLAUSIBILITY_BOUND):
+            raise DivergentMoment(f"mass {np.max(value):g} is beyond the plausibility bound")
+        return value
 
     def integrate(self, h):
-        # phi(e**u) stays in double range only while a Density with hi = inf fails to
-        # construct (_log_substituted_quad raises DivergentMoment for it)
-        lo, hi = self.support
-        u_lo = math.log(lo) if lo > 0 else -np.inf
-        u_hi = math.log(hi) if math.isfinite(hi) else np.inf
-        return _quad(lambda u: h(math.exp(-u)) * self.phi(math.exp(u)), u_lo, u_hi)
+        def integrand(v):
+            u, du = self._u(v)
+            values = h(np.exp(-u))
+            weight = self._phi(np.exp(u)) * du
+            return values * weight.reshape(weight.shape + (1,) * (np.ndim(values) - 1))
+
+        return _integrate(integrand, 0.0, 1.0)
+
+    @functools.cached_property
+    def _panels(self) -> np.ndarray:
+        """The panels in v on which the engine integrates phi(e**u) du, i.e. mu_0."""
+        def mu0(v):
+            u, du = self._u(v)
+            return self._phi(np.exp(u)) * du
+
+        return _adapt(mu0, 0.0, 1.0)[1]
+
+    def _level(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes u and log(weight * phi(e**u) du/dv) of the 16-node Gauss-Legendre rule
+        on every panel cut into 2**level equal parts; kept on the measure."""
+        x, w = _gauss_jacobi(2 * _NODES, 0.0, 0.0)
+        while len(self._levels) <= level:
+            parts = 1 << len(self._levels)
+            a, b = self._panels.T
+            width = np.repeat((b - a) / parts, parts)
+            left = (a[:, None] + (b - a)[:, None] * np.arange(parts) / parts).ravel()
+            u, du = self._u((left[:, None] + width[:, None] * x).ravel())
+            phi = _evaluate(lambda u: self._phi(np.exp(u)), u)
+            if (phi < 0.0).any():
+                raise DivergentMoment("the density is negative")
+            with np.errstate(divide="ignore"):
+                log_w = np.log((width[:, None] * w).ravel() * du) + np.log(phi)
+            self._levels.append((u, log_w))
+        return self._levels[level]
+
+    def _log_masses(self, exponents: np.ndarray) -> np.ndarray:
+        """log of the integral of t**e phi(t) dt/t = phi(e**u) e**(e u) du for each e.
+
+        Every level doubles the nodes; each e takes the first level that agrees
+        with the one before within QUAD_REL_TOL, so its value depends on e
+        alone, not on the exponents it is asked with.  The entry is nan where
+        no level up to _MAX_LEVEL_NODES agrees, inf past the plausibility bound.
+        """
+        out = np.full(len(exponents), np.nan)
+        todo, before = np.arange(len(exponents)), None
+        top = int(math.log2(_MAX_LEVEL_NODES / (2 * _NODES * len(self._panels))))
+        for level in range(top + 1):
+            u, log_w = self._level(level)
+            now = logsumexp(log_w + np.multiply.outer(exponents[todo], u), axis=1)
+            if before is not None:
+                with np.errstate(invalid="ignore"):
+                    agree = (now == before) | (np.abs(np.expm1(now - before)) <= QUAD_REL_TOL)
+                out[todo[agree]] = now[agree]
+                todo, now = todo[~agree], now[~agree]
+                if not len(todo):
+                    break
+            before = now
+        out[out > _LOG_PLAUSIBILITY_BOUND] = np.inf
+        return out
 
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
-        lo, hi = self.support
-        return _log_substituted_quad(self.phi, lo, hi, exponent=exponent), QUAD_TAG
+        log_mass = self._log_masses(np.array([exponent], dtype=float))[0]
+        if np.isnan(log_mass):
+            raise DivergentMoment("the quadrature levels did not agree within the node cap")
+        if log_mass == np.inf:
+            raise DivergentMoment("integral is beyond the plausibility bound")
+        return math.exp(log_mass), QUAD_TAG
+
+    def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
+        # the moments up to the first that failed; log_moments raises if that is short of its n
+        log_mu = self._log_masses(-np.arange(n_min, n_max + 1.0))
+        failed = np.isnan(log_mu) | (log_mu == np.inf)
+        return log_mu[: np.argmax(failed)] if failed.any() else log_mu
 
     def decay_lower(self) -> DecayBound | None:
         # witness interval [lo, mid]: mu_n >= mass([lo, mid]) * mid**-(n+1)
         lo, hi = self.support
-        mid = (lo + hi) / 2.0 if math.isfinite(hi) else lo + 1.0
-        mass = _log_substituted_quad(self.phi, lo, mid)
+        mid = (lo + hi) / 2.0
+        mass = float(self.mass_below(mid))
         if mass <= 0.0:
             return None
         return DecayBound(ratio=1.0 / mid, power=0.0, const=mass / mid)
@@ -627,8 +871,8 @@ class MellinConvolution(MeasureSpec):
     def has_atoms(self) -> bool:
         return self.left.has_atoms and self.right.has_atoms
 
-    def mass_below(self, x: float) -> float:
-        if x <= self.inf_support:
+    def mass_below(self, x):
+        if np.ndim(x) == 0 and x <= self.inf_support:
             return 0.0
         # nu((0, x)) = integral of right((0, x/t)) dleft(t), or with the factors swapped
         outer, inner = self.left, self.right
@@ -636,13 +880,17 @@ class MellinConvolution(MeasureSpec):
             outer, inner = inner, outer
         if outer.has_atoms:
             return outer.sum_atoms(inner.mass_below, x)
-        return outer.integrate(lambda s: inner.mass_below(x * s) / s if s else 0.0).real
+        x = np.asarray(x, dtype=float)
+        return outer.integrate(lambda s: inner.mass_below(np.multiply.outer(s, x))
+                               / s.reshape(s.shape + (1,) * x.ndim))
 
     def mass_at(self, x: float) -> float:
         return self.left.sum_atoms(self.right.mass_at, x)
 
     def integrate(self, h):
-        return self.left.integrate(lambda s: self.right.integrate(lambda r: h(s * r)))
+        # the inner integral at every outer node s at once, on the grid of r times s
+        return self.left.integrate(
+            lambda s: self.right.integrate(lambda r: h(np.multiply.outer(r, s))))
 
     def sum_atoms(self, g, x: float) -> float:
         return self.left.sum_atoms(lambda y: self.right.sum_atoms(g, y), x)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import signal
@@ -137,7 +138,7 @@ def test_subnormal_coefficient_norm(tmp_path, capsys):
     assert float(out) == pytest.approx(1.0, rel=1e-12)
 
 
-# -- cold start: scipy loads with the first quadrature, not with the package ------------------
+# -- cold start: no path loads scipy ---------------------------------------------------------
 
 _SCIPY_MODULES = ("import sys; print(sorted(m for m in sys.modules "
                   "if m == 'scipy' or m.startswith('scipy.')))")
@@ -161,12 +162,31 @@ def test_no_scipy_module_loads_without_a_quadrature(code):
     assert _fresh_python(f"{code}\n{_SCIPY_MODULES}").splitlines()[-1] == "[]"
 
 
-def test_a_density_loads_scipy_integrate_with_its_first_quadrature():
-    build = "from fockhaus import measure; m = measure.Density(lambda t: t**-1.5, (0.8, 2.5))"
-    before, after, mu0 = _fresh_python(
-        "import sys; print('scipy.integrate' in sys.modules)\n"
-        f"{build}\nprint('scipy.integrate' in sys.modules); print(repr(m.mu0))").split()
-    assert (before, after) == ("False", "True")
-    # mu0 = integral of t**-2.5 over (0.8, 2.5)
-    assert float(mu0) == pytest.approx((0.8**-1.5 - 2.5**-1.5) / 1.5, rel=1e-12)
-    assert float(mu0) == measure.Density(lambda t: t**-1.5, (0.8, 2.5)).mu0
+_HARDY_HARDY = json.dumps({"type": "mellin", "left": HARDY, "right": HARDY})
+
+
+@pytest.mark.parametrize("code", [
+    "from fockhaus import cli; assert cli.main(['verify', '--suite', 'examples']) == 0",
+    "from fockhaus import cli; assert cli.main(['verify', '--suite', 'dilation']) == 0",
+    "import pathlib, tempfile; from fockhaus import cli\n"
+    "path = pathlib.Path(tempfile.mkdtemp()) / 'hardy2.json'\n"
+    f"path.write_text({_HARDY_HARDY!r})\n"
+    "assert cli.main(['apply', '--measure', str(path), '--fn', 'monomial:2', '--mode',"
+    " 'quadrature', '--at', '0.5+0.5j']) == 0",
+    "from fockhaus import cli; assert cli.main(['report', '--measure', 'beta:2:2']) == 0",
+    "from fockhaus import measure; m = measure.Density(lambda t: t**-1.5, (0.8, 2.5))\n"
+    "print(repr(m.mu0), repr(measure.moment(m, 3)), m.log_moments(256)[256], "
+    "m.mass_below(2.0), measure.support_report(m).mass_below_1)",
+], ids=["verify-examples", "verify-dilation", "apply-quadrature-hardy2", "report-beta",
+        "density"])
+def test_no_scipy_module_loads_on_a_quadrature_path(code):
+    out = _fresh_python(f"{code}\n{_SCIPY_MODULES}").splitlines()
+    assert out[-1] == "[]"
+    if code.startswith("from fockhaus import measure"):
+        mu0, mu3, log_mu256, below2, below1 = map(float, out[-2].split())
+        # mu_n = integral of t**(-n - 2.5) over (0.8, 2.5); the mass of t**-1.5 on (0.8, x)
+        assert mu0 == pytest.approx((0.8**-1.5 - 2.5**-1.5) / 1.5, rel=1e-12)
+        assert mu3 == pytest.approx((0.8**-4.5 - 2.5**-4.5) / 4.5, rel=1e-12)
+        assert log_mu256 == pytest.approx(-257.5 * math.log(0.8) - math.log(257.5), rel=1e-12)
+        assert below2 == pytest.approx((0.8**-0.5 - 2.0**-0.5) / 0.5, rel=1e-12)
+        assert below1 == pytest.approx((0.8**-0.5 - 1.0) / 0.5, rel=1e-12)

@@ -205,6 +205,31 @@ class TestLogHelpers:
                 worst = max(worst, float(abs(Fraction(float(got)) - exact) / exact))
         assert worst <= 1e-14
 
+    def test_kernel_phases_keep_the_exact_coefficients(self):
+        # a = 7.3 has phase exactly 1, so every coefficient is the real 7.3**n / n!; a
+        # phase formed as conj(a) / |a| read 0.9999999999999999 and put 2.8e-14 on c_250
+        worst = 0.0
+        for n, got in enumerate(entire.kernel(1.0, 7.3, n_max=250, radius=1.0).coeffs):
+            exact = Fraction(7.3) ** n / math.factorial(n)
+            assert got.imag == 0.0
+            worst = max(worst, float(abs(Fraction(got.real) - exact) / exact))
+        assert worst <= 4e-15
+        # a = 3 + 4i with beta = 1.5 has |beta a| = 7.5 exactly; |c_n|**2 is the rational
+        # (beta**2 |a|**2)**n / n!**2.  The argument -n theta carries n roundings of theta,
+        # so the moduli are compared
+        worst = 0.0
+        for n, got in enumerate(entire.kernel(1.5, 3.0 + 4.0j, n_max=250, radius=1.0).coeffs):
+            exact2 = Fraction(56.25) ** n / math.factorial(n) ** 2
+            got2 = Fraction(got.real) ** 2 + Fraction(got.imag) ** 2
+            worst = max(worst, abs(math.sqrt(float(got2 / exact2)) - 1.0))
+        assert worst <= 4e-15
+
+    def test_a_real_positive_point_keeps_the_recurrence_bits(self):
+        # kernel(2, 5), the norms-highdeg anchor: phases exactly 1, coefficients the recurrence
+        k = entire.kernel(2.0, 5.0)
+        mags = np.cumprod(np.r_[1.0, 10.0 / np.arange(1.0, k.degree + 1)])
+        assert k.coeffs.tobytes() == mags.astype(complex).tobytes()
+
     def test_log_factorials_are_views_of_one_read_only_table(self):
         long = entire.log_factorials(5000)
         short = entire.log_factorials(10)

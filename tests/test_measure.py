@@ -1,6 +1,6 @@
-import collections
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,54 +182,139 @@ def cubic(s):
 
 
 class TestQuadEngine:
-    """The one quadrature engine: each node evaluated once, its tolerance on the modulus."""
+    """The one quadrature engine: Gauss rules on panels, the integrand called once a round."""
 
     @pytest.mark.parametrize("measure", [
         msr.PowerTailDensity(1.5),
         msr.MellinConvolution(msr.hardy_measure(), msr.hardy_measure()),
     ], ids=["power-tail", "hardy-hardy"])
-    def test_one_call_per_node_and_spectral_values(self, measure, monkeypatch):
+    def test_one_call_per_node_and_spectral_values(self, measure):
         # cubic(s) is f(z s) for this f at z = 0.9+0.6j, so integrate(cubic) is the image at z
         f = entire.CoeffFunction([0.4 - 0.3j, 1.1, 0.2j, 0.7])
         want = apply_spectral(HausdorffOperator(measure), f)(0.9 + 0.6j)
-        got = measure.integrate(cubic)
+        batches = []
+
+        def counted(s):
+            batches.append(np.array(s))
+            return cubic(s)
+
+        got = measure.integrate(counted)
         assert abs(got - want) <= 1e-10 * abs(want) and got.imag != 0.0
+        # a cubic is exact on the first panel, so one batch holds every node: the
+        # 8 + 16 of the power tail, or that grid squared for the product
+        assert len(batches) == 1
+        assert batches[0].size == (24 if isinstance(measure, msr.PowerTailDensity) else 24 * 24)
+        assert ((batches[0] > 0.0) & (batches[0] < 1.0)).all()
 
-        calls_per_quad = []
-        engine = msr._quad
+    def test_a_smooth_integrand_doubles_its_nodes(self):
+        rounds = []
 
-        def counted(func, lo, hi, **weight):
-            calls = collections.Counter()
-            calls_per_quad.append(calls)
+        def h(u):
+            rounds.append(len(u))
+            return np.exp(-2.0 * u)
 
-            def counting(u):
-                calls[u] += 1
-                return func(u)
+        value, panels = msr._adapt(h, 0.0, 40.0)
+        assert value == pytest.approx(0.5 * -math.expm1(-80.0), rel=1e-13)
+        assert isinstance(value, float) and panels.tolist() == [[0.0, 40.0]]
+        # the 8- and 16-node rules in one call, then each doubling's new nodes only
+        assert rounds[:2] == [24, 32] and rounds == [24] + [32 << k for k in range(len(rounds) - 1)]
 
-            return engine(counting, lo, hi, **weight)
+    def test_a_kink_is_bisected_to(self):
+        # |x - 1/3| has its kink off every dyadic point: no node count resolves it, panels do
+        rounds = []
 
-        monkeypatch.setattr(msr, "_quad", counted)
-        assert measure.integrate(cubic) == got
-        assert calls_per_quad and all(max(calls.values()) == 1 for calls in calls_per_quad)
+        def h(x):
+            rounds.append(len(x))
+            return np.abs(x - 1.0 / 3.0)
 
-    def test_real_integrand_takes_the_pilot_and_one_pass(self, monkeypatch):
-        limits = []
-        quad = integrate.quad
-        monkeypatch.setattr(integrate, "quad",
-                            lambda *a, **kw: limits.append(kw["limit"]) or quad(*a, **kw))
-        value = msr._quad(lambda u: math.exp(-2.0 * u), 0.0, np.inf)
-        assert value == pytest.approx(0.5, rel=1e-13) and isinstance(value, float)
-        assert limits == [2, 400]
+        value, panels = msr._adapt(h, 0.0, 1.0)
+        assert value == pytest.approx(5.0 / 18.0, rel=msr.QUAD_REL_TOL)
+        widths = panels[:, 1] - panels[:, 0]
+        assert widths.min() < 1e-3 < widths.max() and widths.sum() == pytest.approx(1.0)
+        assert rounds[:5] == [24, 32, 64, 128, 2 * 24]  # the doubling gives up at 128 nodes
 
     @pytest.mark.parametrize("func, hi", [
-        (lambda u: math.sqrt(-u), 1.0),  # ValueError at every node
-        (lambda u: 1.0 / u, 1.0),  # divergent at 0: quad warns
-        (lambda u: math.exp(u), np.inf),  # OverflowError far out
-        (lambda u: math.inf, 1.0),  # not finite
-    ], ids=["raises", "warns", "overflows", "inf"])
+        (lambda u: np.sqrt(-u) if (u > 0).all() else math.sqrt(-1.0), 1.0),  # ValueError
+        (lambda u: 1.0 / u, 1.0),  # divergent at 0: the rules never agree
+        (lambda u: np.array([math.exp(v) for v in u]), 1000.0),  # OverflowError far out
+        (lambda u: np.full(len(u), math.inf), 1.0),  # not finite
+    ], ids=["raises", "diverges", "overflows", "inf"])
     def test_every_failure_is_a_divergent_moment(self, func, hi):
         with pytest.raises(msr.DivergentMoment):
-            msr._quad(func, 0.0, hi)
+            msr._integrate(func, 0.0, hi)
+
+    def test_a_density_reaching_infinity_is_refused(self):
+        # a density with hi = inf has no tail bound in u; the benchmark's density-inf probe
+        with pytest.raises(msr.DivergentMoment):
+            msr.Density(lambda t: t**-3.0, (1.0, np.inf))
+
+
+def beta_moment_exact(alpha: float, beta: float, k: int) -> float:
+    """B(alpha+k+1, beta+1): B(alpha+1, beta+1) from math.lgamma times the exact rational
+    product of (alpha+1+j) / (alpha+beta+2+j), j < k, so that no lgamma of a large argument
+    carries its last-bit error into the reference."""
+    base = math.exp(math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0)
+                    - math.lgamma(alpha + beta + 2.0))
+    ratio = Fraction(1)
+    for j in range(k):
+        ratio *= Fraction(alpha + 1.0 + j) / Fraction(alpha + beta + 2.0 + j)
+    return base * float(ratio)
+
+
+class TestRules:
+    # the endpoint powers of the power tails a = 0.5, 1, 1.5, 2.5 and of the beta tails
+    # (a, b) = (2, 1), (2.5, 1.5), (2, 2), (-0.3, 0.5), (0.5, 0.3)
+    WEIGHTS = [(-0.5, 0.0), (0.0, 0.0), (0.5, 0.0), (1.5, 0.0), (1.0, 0.0), (1.0, 0.5),
+               (0.0, 1.0), (-0.8, -0.5), (0.2, -0.7)]
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_jacobi_rules_are_exact_to_degree_2n_minus_1(self, n):
+        for alpha, beta in self.WEIGHTS:
+            x, w = msr._gauss_jacobi(n, alpha, beta)
+            assert ((0.0 < x) & (x < 1.0)).all() and (w > 0.0).all()
+            for k in range(2 * n):
+                want = beta_moment_exact(alpha, beta, k)
+                assert math.fsum(w * x**k) == pytest.approx(want, rel=1e-14), (alpha, beta, k)
+
+    @pytest.mark.parametrize("k, lo, hi", [(1.5, 0.8, 2.5), (0.0, 0.7, 1.0), (2.0, 2.0, 5.0),
+                                           (-1.0, 1.0, 2.0), (3.0, 20.0, 21.0)])
+    def test_density_moments_match_the_closed_form(self, k, lo, hi):
+        # mu_n of t**-k on (lo, hi) is (lo**-e - hi**-e) / e with e = n + k, or log(hi/lo)
+        # at e = 0; in logs, so that lo**-e never leaves double range
+        m = msr.Density(lambda t: t**-k, (lo, hi))
+        log_mu = m.log_moments(256)[:257]
+        log_ratio = math.log(hi / lo)
+        for n in range(257):
+            e = n + k
+            want = (math.log(log_ratio) if e == 0 else
+                    -e * math.log(lo) + math.log(-math.expm1(-e * log_ratio) / e))
+            if abs(want) < 700.0:  # the moment lies in double range
+                assert math.exp(log_mu[n]) == pytest.approx(math.exp(want), rel=1e-12), n
+
+    def test_moments_do_not_depend_on_the_batch(self):
+        def fresh():
+            return msr.Density(lambda t: t**-1.5, (0.8, 2.5))
+
+        grown = fresh()
+        grown.log_moments(10)
+        np.testing.assert_array_equal(grown.log_moments(256)[:257], fresh().log_moments(256)[:257])
+        one = fresh()
+        assert all(one.weighted_mass(-float(n))[0] == math.exp(grown.log_moments(256)[n])
+                   for n in (0, 1, 64, 200, 256))
+
+    def test_an_inverse_square_root_at_the_lower_end(self):
+        # integral of dt / (t sqrt(t - a)) is (2 / sqrt(a)) atan(sqrt((t - a) / a))
+        m = msr.Density(lambda t: (t - 0.8) ** -0.5, (0.8, 2.0))
+        assert m.mu0 == pytest.approx(2.0 / math.sqrt(0.8) * math.atan(math.sqrt(1.5)), rel=1e-12)
+        assert m.mass_below(2.0) == pytest.approx(2.0 * math.sqrt(1.2), rel=1e-12)
+        ref = quad_moment_oracle(lambda t: (t - 0.8) ** -0.5, 0.8, 2.0, 7)
+        assert msr.moment(m, 7) == pytest.approx(ref, rel=1e-10)
+
+    def test_moments_agree_with_adaptive_quadrature(self):
+        m = msr.Density(lambda t: np.exp(-t) * (1.0 + t), (0.7, 3.0))
+        for n in (0, 1, 5, 40, 256):
+            ref = quad_moment_oracle(lambda t: math.exp(-t) * (1.0 + t), 0.7, 3.0, n)
+            assert msr.moment(m, n) == pytest.approx(ref, rel=1e-11), n
 
 
 class TestNormalize:

@@ -39,7 +39,7 @@ def closed_form_measures() -> dict:
 
 
 def quadrature_backed_measures() -> dict:
-    """Freshly built measures whose moments go through quadrature, one per index."""
+    """Freshly built measures whose moments go through quadrature."""
     ramp = measure.Density(lambda t: t, (1.0, 2.0), label="ramp")
     return {
         "ramp": ramp,
@@ -62,7 +62,7 @@ def test_log_moments_match_weighted_mass(name):
 def test_quadrature_backed_log_moments_match_weighted_mass():
     for m in quadrature_backed_measures().values():
         want = [m.weighted_mass(-float(n))[0] for n in range(12)]
-        np.testing.assert_allclose(np.exp(m.log_moments(11)), want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.exp(m.log_moments(11)[:12]), want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("name", [*CLOSED_FORM_MEASURES, *quadrature_backed_measures()])
@@ -88,14 +88,14 @@ def test_log_moments_past_double_range(m, log_mu):
     np.testing.assert_allclose(m.log_moments(N)[: N + 1], want, rtol=1e-12, atol=1e-12)
 
 
-def test_closed_forms_extend_in_doubling_chunks_and_quadrature_by_one():
+def test_moments_extend_in_doubling_chunks():
     m = measure.hardy_measure()
     assert len(m.log_moments(0)) == 64
     assert len(m.log_moments(64)) == 128
     assert len(m.log_moments(1000)) == 1001
     quad = measure.Density(lambda t: 1.0, (1.0, 2.0))
-    assert len(quad.log_moments(0)) == 1
-    assert len(quad.log_moments(5)) == 6
+    assert len(quad.log_moments(0)) == 64
+    assert len(quad.log_moments(64)) == 128
     with pytest.raises(ValueError):
         m.log_moments(-1)
     with pytest.raises(ValueError):
@@ -106,13 +106,13 @@ def test_normalize_shares_the_moments_read_only(monkeypatch):
     m = quadrature_backed_measures()["ramp"]
     log_mu = m.log_moments(20)
     quads = []
-    quad = measure._log_substituted_quad
+    quad = measure._evaluate
 
     def counted(*args, **kwargs):
         quads.append(args)
         return quad(*args, **kwargs)
 
-    monkeypatch.setattr(measure, "_log_substituted_quad", counted)
+    monkeypatch.setattr(measure, "_evaluate", counted)
     mn = measure.normalize(m)
     assert not mn.closed_form and mn.mu0 == pytest.approx(1.0, rel=1e-14)
     np.testing.assert_array_equal(mn.log_moments(20), math.log(1.0 / m.mu0) + log_mu)
@@ -124,21 +124,27 @@ def test_normalize_shares_the_moments_read_only(monkeypatch):
 
 def test_questions_share_one_quadrature_per_moment(monkeypatch):
     # the bench's density case, asked every smoothing and summing question at its three (p, q)
-    exponents = []
-    weighted_mass = measure.Density.weighted_mass
+    chunks, exponents = [], []
+    log_moments, weighted_mass = measure.Density._log_moments, measure.Density.weighted_mass
+
+    def counted_chunk(self, n_min, n_max):
+        chunks.append((n_min, n_max))
+        return log_moments(self, n_min, n_max)
 
     def counted(self, exponent):
         exponents.append(exponent)
         return weighted_mass(self, exponent)
 
+    monkeypatch.setattr(measure.Density, "_log_moments", counted_chunk)
     monkeypatch.setattr(measure.Density, "weighted_mass", counted)
     m = measure.Density(lambda t: t**-1.5, (0.8, 2.5))
     for p, q in ((1.0, math.inf), (1.0, 2.0), (2.0, 4.0)):
         classify.smoothing_criteria(m, p=p, q=q)
         classify.summing_criteria(m, p=p, q=q)
-    moments = [e for e in exponents if e < 0.0]
-    assert len(moments) == len(set(moments)) == classify.QUAD_BACKED_HORIZON
-    assert len(exponents) <= classify.QUAD_BACKED_HORIZON + 8  # mu_0 and the mass conditions
+    # each moment once, in the doubling chunks that reach the horizon
+    assert chunks == [(0, 63), (64, 127), (128, 255), (256, 511)]
+    assert chunks[-1][0] == classify.QUAD_BACKED_HORIZON
+    assert len(exponents) <= 8  # mu_0 and the mass conditions
 
 
 # -- the scans against a loop over weighted_mass -------------------------------------
