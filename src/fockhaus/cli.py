@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -117,8 +118,9 @@ def _build_parser() -> _Parser:
 
 
 def _round_floats(obj):
+    """Floats at FMT precision; inf, -inf and nan become strings, so the JSON is strict."""
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        return float(_fmt(obj)) if math.isfinite(obj) else _fmt(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -156,7 +158,7 @@ def main(argv=None) -> int:
             f = _load_function(args.fn, args.alpha)
             if args.mode == "spectral":
                 g = apply_spectral(op, f)
-                print(json.dumps(_round_floats(g.to_json_dict())))
+                print(json.dumps(_round_floats(g.to_json_dict()), allow_nan=False))
             else:
                 zs = [complex(tok) for tok in args.at.split(",") if tok]
                 vals = apply_quadrature(op, f, zs)
@@ -174,7 +176,8 @@ def main(argv=None) -> int:
         elif args.command == "classify":
             m = _load_measure(args.measure)
             reports = _classification_reports(m, args.p, args.q, args.alpha, args.weight)
-            print(json.dumps(_round_floats([r.as_dict() for r in reports]), indent=2))
+            print(json.dumps(_round_floats([r.as_dict() for r in reports]), indent=2,
+                             allow_nan=False))
         elif args.command == "verify":
             results = harness.run_suite(args.suite, seed=args.seed)
             sys.stdout.write(harness.results_to_csv(results))
@@ -192,7 +195,7 @@ def main(argv=None) -> int:
                     for r in _classification_reports(m, args.p, args.q, args.alpha, None)
                 ],
             }
-            print(json.dumps(_round_floats(dossier), indent=2))
+            print(json.dumps(_round_floats(dossier), indent=2, allow_nan=False))
         else:  # pragma: no cover
             return 1
     except (

@@ -10,6 +10,12 @@ Norm conventions, for f entire, 0 < p, q <= inf, alpha > 0:
 Factorials and powers overflow long before the interesting degrees do, so
 every accumulation happens on logarithms; only the final norm is
 exponentiated.  The module needs numpy only.
+
+Circle means factor out z**m, m the index of the first nonzero coefficient
+(|z**m h(z)| = r**m |h(z)| on |z| = r), so c*z**n costs one 64-angle level.
+The angle counts are rounded up to 5-smooth numbers 2**a * 3**b * 5**c,
+where an FFT is several times faster per point than at a length with a
+large prime factor such as 764 = 4*191.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ from .entire import CoeffFunction, log_factorials, logsumexp, unit_phases
 
 INF = float("inf")
 
-MIN_ANGLE_NODES = 64  # finite-p means start at max(64, 4*(degree+1)) angles
+# finite-p means start at _fft_len(max(64, 4*(degree+1))) angles, the degree
+# taken after z**m is factored out, so c*z**n transforms 64 angles
+MIN_ANGLE_NODES = 64
 MAX_ANGLE_NODES = 8192  # finite-p doubling stops at the first level >= this
 ABS_TOL = 1e-12  # a finite-p mean stable to this in the log stops doubling
 GL_ORDER = 24  # Gauss-Legendre nodes per radial panel
@@ -94,6 +102,22 @@ def _gl_panels(R: float, width: float, order: int):
     return nodes, weights
 
 
+def _fft_len(n: int) -> int:
+    """The least 5-smooth number 2**a * 3**b * 5**c >= n."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _log_abs(coeffs: np.ndarray) -> np.ndarray:
     out = np.full(len(coeffs), -np.inf)
     nz = coeffs != 0
@@ -130,8 +154,10 @@ def _scaled_rows(coeffs: np.ndarray, radii: np.ndarray):
 def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray) -> np.ndarray:
     """log M_p(f, r) for finite p != 2 via FFT power means with nested refinement.
 
-    The first level has K = max(MIN_ANGLE_NODES, 4*(deg+1)) angles.  Each row
-    carries its running sum of |g|**p over the K angles so far.  The 2K-node
+    The first level has K = _fft_len(max(MIN_ANGLE_NODES, 4*(deg+1))) angles,
+    a 5-smooth count, and so is every doubling of it; deg is the degree left
+    once _log_circle_means has factored z**m out of f.  Each row carries its
+    running sum of |g|**p over the K angles so far.  The 2K-node
     trapezoid rule is the K-node rule plus the K midpoints, and those are
     g(theta + pi/K), one length-K FFT of s_n e^{-i pi n/K} (K >= deg + 1), so
     a doubling transforms only the new nodes.  Rows double until the mean is
@@ -145,7 +171,7 @@ def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray) -> np.ndarray:
     """
     deg = len(coeffs) - 1
     scaled, L = _scaled_rows(coeffs, radii)
-    K = max(MIN_ANGLE_NODES, 4 * (deg + 1))
+    K = _fft_len(max(MIN_ANGLE_NODES, 4 * (deg + 1)))
     n = np.arange(deg + 1)
 
     def power_sums(block: np.ndarray, k: int) -> np.ndarray:
@@ -195,17 +221,18 @@ def _log_mean_2(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
 def _log_mean_inf(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """log M_inf(f, r): FFT grid maximum, then Newton polish of the angle.
 
-    The grid has K = max(64, 8*(deg+1)) angles: np.fft.fft samples
-    g(theta) = sum s_n e^{i n theta} at theta = -k*h, so each row starts at
-    the angle of its largest grid value.  Newton steps on |g|^2 use g, g' and
-    g'' (coefficients s_n, i n s_n, -n^2 s_n) from one phase matrix per step
-    and stay inside the +-h bracket around the start.  The result is the
-    largest |g| evaluated, grid values included, so never below the grid
-    maximum.
+    The grid has K = _fft_len(max(64, 8*(deg+1))) angles, a 5-smooth count;
+    deg is the degree left once _log_circle_means has factored z**m out of
+    f.  np.fft.fft samples g(theta) = sum s_n e^{i n theta} at theta = -k*h,
+    so each row starts at the angle of its largest grid value.  Newton steps
+    on |g|^2 use g, g' and g'' (coefficients s_n, i n s_n, -n^2 s_n) from one
+    phase matrix per step and stay inside the +-h bracket around the start.
+    The result is the largest |g| evaluated, grid values included, so never
+    below the grid maximum.
     """
     deg = len(coeffs) - 1
     scaled, L = _scaled_rows(coeffs, radii)
-    K = max(64, 8 * (deg + 1))
+    K = _fft_len(max(64, 8 * (deg + 1)))
     vals = np.abs(np.fft.fft(scaled, n=K, axis=1))
     best = np.argmax(vals, axis=1)
     peak = vals[np.arange(len(radii)), best]
@@ -226,12 +253,24 @@ def _log_mean_inf(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 
 def _log_circle_means(coeffs: np.ndarray, p: float, radii: np.ndarray) -> np.ndarray:
+    """log M_p(f, r) per radius, with z**m factored out of f = z**m h.
+
+    m*log r + log M_p(h, r): rows at r = 0 are -inf when m > 0.
+    """
     radii = np.asarray(radii, dtype=float)
+    nonzero = np.flatnonzero(coeffs)
+    m = int(nonzero[0]) if len(nonzero) else 0
+    h = coeffs[m:]
     if p == 2.0:
-        return _log_mean_2(coeffs, radii)
-    if p == INF:
-        return _log_mean_inf(coeffs, radii)
-    return _log_mean_p(coeffs, p, radii)
+        out = _log_mean_2(h, radii)
+    elif p == INF:
+        out = _log_mean_inf(h, radii)
+    else:
+        out = _log_mean_p(h, p, radii)
+    if m:
+        with np.errstate(divide="ignore"):
+            out = out + m * np.log(radii)
+    return out
 
 
 def circle_mean(f: CoeffFunction, p: float, r: float) -> float:

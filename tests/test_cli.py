@@ -127,6 +127,20 @@ def test_image_past_double_range_is_a_precondition_failure(flags, capsys):
     assert "DomainError" in err and "nan" not in err.lower()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [["report", "--measure", "dirac:1e-300"],
+                                  ["classify", "--measure", "hardy"]])
+def test_json_output_is_strict(argv, capsys):
+    # mu_n = 1e300**n overflows and the hardy series diverge: infinities are strings
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    json.loads(out, parse_constant=_refuse_constant)
+    assert '"inf"' in out
+
+
 def test_subnormal_coefficient_norm(tmp_path, capsys):
     fn = tmp_path / "f.json"
     fn.write_text(json.dumps({"coeffs": [[1.0, 0.0], [0.0, 0.0], [1e-320, 0.0]]}))

@@ -226,7 +226,7 @@ def full_recompute_log_mean_p(coeffs, p, radii):
     """
     deg = len(coeffs) - 1
     scaled, L = focknorm._scaled_rows(coeffs, radii)
-    K = max(focknorm.MIN_ANGLE_NODES, 4 * (deg + 1))
+    K = focknorm._fft_len(max(focknorm.MIN_ANGLE_NODES, 4 * (deg + 1)))
 
     def means_at(block, k):
         vals = np.fft.fft(block, n=k, axis=1)
@@ -316,6 +316,73 @@ class TestNestedRefinement:
         full = sum(rows * n for rows, n in fft_work)
         assert nested <= 0.6 * full
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def is_5_smooth(n):
+    for prime in (2, 3, 5):
+        while n % prime == 0:
+            n //= prime
+    return n == 1
+
+
+# the (p, q) of the norms-highdeg benchmark: fock_norm at p, mixed_norm at q in {1, inf}
+HIGHDEG_PAIRS = list(dict.fromkeys((p, q) for p in (0.5, 1.0, 4.0, INF) for q in (p, 1.0, INF)))
+
+
+def highdeg_norm(f, p, q):
+    if p == q:
+        return fock_norm(f, p, 1.0)
+    return mixed_norm(f, FockParams(p, q, 1.0))
+
+
+class TestFFTLengths:
+    def test_fft_len_is_the_least_5_smooth_length(self):
+        for n in range(5001):
+            want = max(n, 1)
+            while not is_5_smooth(want):
+                want += 1
+            assert focknorm._fft_len(n) == want
+
+    def test_highdeg_norms_transform_at_5_smooth_lengths(self, fft_work):
+        rng = np.random.default_rng(31)
+        for degree in (128, 163, 190, 213):
+            f = rand_poly(rng, degree)
+            for p, q in HIGHDEG_PAIRS:
+                highdeg_norm(f, p, q)
+        lengths = {n for _, n in fft_work}
+        assert len(lengths) > 4
+        assert all(is_5_smooth(n) for n in lengths), sorted(lengths)
+
+
+class TestMonomialFactor:
+    @pytest.mark.parametrize("p", [0.5, 1.0, 3.0, 4.0, INF])
+    def test_z_power_factors_out_of_the_mean(self, p):
+        rng = np.random.default_rng(37)
+        h = rand_poly(rng, 15).coeffs
+        radii = np.linspace(0.1, 3.0, 30)
+        for m in (1, 4, 30):
+            zh = np.concatenate([np.zeros(m), h])
+            got = focknorm._log_circle_means(zh, p, radii)
+            want = m * np.log(radii) + focknorm._log_circle_means(h, p, radii)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, 4.0, INF])
+    def test_the_origin_row_is_minus_inf(self, p):
+        zh = np.array([0.0, 0.0, 1.0 + 1j, -0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = focknorm._log_circle_means(zh, p, np.array([0.0, 1.0]))
+        assert got[0] == -np.inf and np.isfinite(got[1])
+
+    @pytest.mark.parametrize("n", [120, 190])
+    def test_scaled_monomial_norms_take_one_short_level(self, n, fft_work):
+        lead = 1.3 * np.exp(0.7j)
+        f = entire.CoeffFunction([0.0] * n + [lead])
+        for p, q in HIGHDEG_PAIRS:
+            got = math.log(highdeg_norm(f, p, q))
+            want = math.log(abs(lead)) + log_monomial_norm(n, q, 1.0)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (p, q)
+        assert fft_work and max(n for _, n in fft_work) <= focknorm.MIN_ANGLE_NODES
 
 
 class TestKernelNormClosed:
