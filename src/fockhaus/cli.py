@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import classify, entire, harness, measure
-from .focknorm import INF, FockParams, fock_norm, mixed_norm
+from .focknorm import INF, FockParams, _check_alpha, fock_norm, mixed_norm
 from .hausdorff import HausdorffOperator, IllDefined, apply_quadrature, apply_spectral
 
 FMT = "%.13g"
@@ -148,6 +148,8 @@ def _classification_reports(m, p, q, alpha, weight):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if hasattr(args, "alpha"):
+            _check_alpha(args.alpha)
         if args.command == "moments":
             m = _load_measure(args.measure)
             seq = measure.moments(m, args.n)

@@ -88,7 +88,7 @@ def test_every_command_exits_0_1_or_2(name, tmp_path, capsys):
 
 
 def _out_of_time(signum, frame):
-    pytest.fail("apply-quadrature ran past its 20 s budget")
+    pytest.fail("the call ran past its 20 s budget")
 
 
 @pytest.mark.parametrize("name, want", [("hardy*hardy", 0.5j / 9.0),
@@ -150,6 +150,31 @@ def test_subnormal_coefficient_norm(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
     assert float(out) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--fn", "monomial:3", "--p", "1", "--alpha", "nan"],
+    ["norm", "--fn", "monomial:3", "--p", "1", "--alpha", "inf"],
+    ["norm", "--fn", "monomial:3", "--p", "1", "--alpha", "1e-320"],  # hung: cutoff inf
+    ["norm", "--fn", "monomial:3", "--p", "inf", "--alpha", "1e-320"],
+    ["norm", "--fn", "monomial:3", "--p", "0.5", "--alpha", "5e-324"],
+    ["classify", "--measure", "hardy", "--alpha", "nan"],
+    ["report", "--measure", "hardy", "--alpha", "-1"],
+])
+def test_bad_alpha_is_a_usage_error(argv, capsys):
+    # these printed 0 or a verdict and exited 0, or never returned
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(20)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("fockhaus: error: ")  # no traceback
 
 
 # -- cold start: no path loads scipy ---------------------------------------------------------

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, hyp2f1
 
 from fockhaus import entire, focknorm
 from fockhaus.focknorm import (
@@ -219,32 +219,45 @@ class TestSupMaximiser:
                     mixed_norm(f, FockParams(p, INF, 1.0))
 
 
-def full_recompute_log_mean_p(coeffs, p, radii):
+def full_recompute_log_mean_p(coeffs, p, radii, log_w=None, q=INF):
     """The finite-p mean that transforms all 2K angles at every doubling.
 
-    Returns the log means and the mask of rows that reached the cap.
+    It stops rows by the rules of focknorm._log_mean_p (relevance from the
+    first level, the rounding floor from the nodes new at each level), so that
+    it differs only in not reusing the previous level.  Returns the log means
+    and the mask of rows that reached the cap.
     """
     deg = len(coeffs) - 1
     scaled, L = focknorm._scaled_rows(coeffs, radii)
     K = focknorm._fft_len(max(focknorm.MIN_ANGLE_NODES, 4 * (deg + 1)))
+    noise = focknorm._NOISE * np.abs(scaled).sum(axis=1)
 
-    def means_at(block, k):
-        vals = np.fft.fft(block, n=k, axis=1)
-        return focknorm._log_pos(np.mean(np.abs(vals) ** p, axis=1)) / p
+    def moduli(block, k):
+        return np.abs(np.fft.fft(block, n=k, axis=1))
 
-    out = means_at(scaled, K) + L
+    def log_means(vals):
+        return focknorm._log_pos(np.mean(vals ** p, axis=1)) / p
+
+    out = log_means(moduli(scaled, K)) + L
+    relevance = focknorm._relevance(out, log_w, q)
+    floor = np.zeros_like(out)
     active = np.ones(len(radii), dtype=bool)
     hist = [np.full_like(out, np.nan), np.full_like(out, np.nan), out.copy()]
     while active.any() and K < focknorm.MAX_ANGLE_NODES:
         K *= 2
-        cur = means_at(scaled[active], K) + L[active]
+        vals = moduli(scaled[active], K)
+        cur = log_means(vals) + L[active]
+        new = vals[:, 1::2]  # the nodes this level adds
+        share = np.count_nonzero(new <= noise[active, None], axis=1) / new.shape[1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            floor[active] = share * noise[active] ** p / np.mean(vals ** p, axis=1) / p
         hist = [h.copy() for h in hist[1:]] + [hist[-1].copy()]
         hist[-1][active] = cur
         out[active] = cur
         with np.errstate(invalid="ignore"):
             diff = np.abs(hist[-1] - hist[-2])
         diff[~np.isfinite(diff)] = 0.0
-        active &= diff > focknorm.ABS_TOL * 10
+        active &= (diff * relevance > focknorm.ABS_TOL * 10) & (diff > 2.0 * floor)
     if active.any():
         m1, m2, m3 = (h[active] for h in hist)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -385,6 +398,142 @@ class TestMonomialFactor:
         assert fft_work and max(n for _, n in fft_work) <= focknorm.MIN_ANGLE_NODES
 
 
+def z_power_minus_c_norm(m, c, p, alpha=1.0):
+    """||z**m - c||_{p,alpha} by quad over r of the closed-form circle mean.
+
+    On |z| = r, with A <= B the two of r**m and |c|,
+    M_p(f, r)**p = B**p 2F1(-p/2, -p/2; 1; (A/B)**2).  The integrand has a
+    kink at r = |c|**(1/m), where A = B, and its peak near sqrt(m/alpha).
+    """
+    c = abs(c)
+
+    def integrand(r):
+        a, b = sorted((r**m, c))
+        return (b**p * hyp2f1(-p / 2, -p / 2, 1.0, (a / b) ** 2)
+                * math.exp(-alpha * p * r * r / 2) * r)
+
+    knee = c ** (1.0 / m)
+    top = math.sqrt(m / alpha) + 14 / math.sqrt(alpha * p) + 10
+    total = sum(quad(integrand, lo, hi, limit=200, epsabs=0, epsrel=1e-13)[0]
+                for lo, hi in ((0.0, knee), (knee, top)))
+    return (alpha * p * total) ** (1 / p)
+
+
+class TestZPowerMinusConstant:
+    """z**m - c has m zeros on the circle |z| = |c|**(1/m): the mean's slowest case.
+
+    The bounds pin the worst errors over the grid (9.6e-6, 2.6e-7, 8.2e-12
+    and 2.2e-15 at p = 0.5, 1, 3, 4), so that a rule which refines fewer
+    circle means cannot lose accuracy near the zeros unseen.
+    """
+
+    @pytest.mark.parametrize("p, bound", [(0.5, 1.2e-5), (1.0, 3.3e-7), (3.0, 1.0e-11),
+                                          (4.0, 1e-14)])
+    def test_norms_match_the_hypergeometric_mean(self, p, bound):
+        worst = 0.0
+        for m in (1, 2, 3, 5, 8, 13, 20, 40):
+            for c in (0.3, 1.0, 2.0, -30.0, 5j):
+                f = entire.CoeffFunction([-c] + [0.0] * (m - 1) + [1.0])
+                got = fock_norm(f, p, 1.0)
+                worst = max(worst, abs(got / z_power_minus_c_norm(m, c, p) - 1.0))
+        assert worst <= bound
+
+
+class TestWeightedStops:
+    """The stop rules that use the radial rule's weights and the rounding floor."""
+
+    def test_rows_without_noise_nodes_keep_the_stability_rule(self, monkeypatch):
+        # with _NOISE = 0 no node counts as noise and the floor is 0: every row
+        # doubles until it is stable to 10*ABS_TOL, as without the floor rule
+        rng = np.random.default_rng(41)
+        cases = [(rand_poly(rng, 30).coeffs, 0.5), (rand_poly(rng, 30).coeffs, 1.5),
+                 (entire.kernel(2.0, 5.0, radius=12.0).coeffs, 0.5)]
+        radii = np.linspace(0.0, 4.0, 41)
+        noisy_rows = clean_rows = 0
+        for coeffs, p in cases:
+            got = focknorm._log_circle_means(coeffs, p, radii)
+            with monkeypatch.context() as mp:
+                mp.setattr(focknorm, "_NOISE", 0.0)
+                plain = focknorm._log_circle_means(coeffs, p, radii)
+            # every node of every level lies on the finest grid
+            scaled, _ = focknorm._scaled_rows(coeffs, radii)
+            k = focknorm._fft_len(max(focknorm.MIN_ANGLE_NODES, 4 * len(coeffs)))
+            while k < focknorm.MAX_ANGLE_NODES:
+                k *= 2
+            vals = np.abs(np.fft.fft(scaled, n=k, axis=1))
+            noise = focknorm._NOISE * np.abs(scaled).sum(axis=1)
+            clean = (vals > 2.0 * noise[:, None]).all(axis=1)
+            np.testing.assert_array_equal(got[clean], plain[clean])
+            noisy_rows += (~clean).sum()
+            clean_rows += clean.sum()
+        assert noisy_rows > 0 and clean_rows > 60
+
+    def test_anchor_kernel_at_p_half_transforms_less(self, fft_work):
+        # before the weighted rule: 6 993 216 FFT points and this value
+        got = fock_norm(entire.kernel(2.0, 5.0, radius=12.0), 0.5, 1.0)
+        assert sum(rows * n for rows, n in fft_work) <= 0.45 * 6_993_216
+        assert got == pytest.approx(5.1848327307567e21, rel=1e-8)
+
+    def test_a_row_without_share_doubles_once(self, fft_work):
+        # z - 1 at r = 1.001: a zero just inside the circle, so the mean converges
+        # slowly; the same row twice, the second weighted e**-100 below the first
+        coeffs = np.array([-1.0, 1.0], dtype=complex)
+        radii = np.array([1.001, 1.001])
+        focknorm._log_mean_p(coeffs, 0.5, radii)
+        assert [rows for rows, _ in fft_work].count(2) > 3
+        fft_work.clear()
+        log_w = np.array([0.0, -100.0])
+        assert focknorm._relevance(np.zeros(2), log_w, 0.5)[1] < 1e-30
+        got = focknorm._log_mean_p(coeffs, 0.5, radii, log_w, 0.5)
+        assert [rows for rows, _ in fft_work].count(2) == 2  # the first level, one doubling
+        assert len(fft_work) > 3  # the first row goes on
+        assert abs(got[1] - got[0]) < 1e-3
+
+    @pytest.mark.parametrize("p, q", [(0.5, 0.5), (INF, 1.0), (1.0, INF), (INF, INF)])
+    def test_weights_move_with_the_z_power(self, p, q, monkeypatch):
+        # the means of h weigh r**(q*m) (r**m for the sup) more than those of z**m h
+        seen = []
+
+        def record(*args):  # (h, [p,] radii, log_w, q)
+            seen.append(args[-2])
+            return np.zeros(3)
+
+        monkeypatch.setattr(focknorm, "_log_mean_p", record)
+        monkeypatch.setattr(focknorm, "_log_mean_inf", record)
+        radii = np.array([0.0, 0.5, 2.0])
+        log_w = np.array([-1.0, 0.0, 1.0])
+        zh = np.array([0.0, 0.0, 0.0, 1.0, 2.0j])
+        focknorm._log_circle_means(zh, p, radii, log_w, q)
+        with np.errstate(divide="ignore"):
+            want = log_w + (3 if q == INF else 3 * q) * np.log(radii)
+        np.testing.assert_array_equal(seen[0], want)
+
+    def test_the_sup_polishes_only_rows_near_the_maximum(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        coeffs = rand_poly(rng, 213).coeffs
+        inner = focknorm._log_mean_inf
+        polished = far = 0
+
+        def checked(h, radii, log_w=None, q=INF):
+            nonlocal polished, far
+            out = inner(h, radii, log_w, q)
+            scaled, L = focknorm._scaled_rows(h, radii)
+            k = focknorm._fft_len(max(64, 8 * len(h)))
+            grid = focknorm._log_pos(np.abs(np.fft.fft(scaled, n=k, axis=1)).max(axis=1)) + L
+            near = grid + log_w >= (grid + log_w).max() - 1.0
+            np.testing.assert_array_equal(out[~near], grid[~near])
+            assert (out[near] > grid[near]).all()  # Newton moved off the grid angle
+            polished += near.sum()
+            far += (~near).sum()
+            return out
+
+        monkeypatch.setattr(focknorm, "_log_mean_inf", checked)
+        got = focknorm._log_radial_sup(coeffs, INF, 1.0)
+        assert polished > 0 and far > 0
+        monkeypatch.setattr(focknorm, "_log_mean_inf", lambda h, radii, *_: inner(h, radii))
+        assert focknorm._log_radial_sup(coeffs, INF, 1.0) == got
+
+
 class TestKernelNormClosed:
     def test_center_zero(self):
         assert kernel_norm_closed(1.0, 0.0, 2.0, 1.0) == 1.0
@@ -487,6 +636,24 @@ class TestValidation:
             FockParams(1.0, 2.0, 0.0)
         with pytest.raises(ValueError):
             fock_norm(entire.monomial(0), 2.0, 1.0, method="montecarlo")
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_alpha(self, alpha):
+        f = entire.monomial(3)
+        for call in (lambda: fock_norm(f, 1.0, alpha), lambda: fock_norm(f, INF, alpha),
+                     lambda: FockParams(1.0, 2.0, alpha),
+                     lambda: coeff_weighted_lp(f, 2.0, alpha),
+                     lambda: log_monomial_norm(3, 1.0, alpha)):
+            with pytest.raises(ValueError, match="alpha"):
+                call()
+
+    @pytest.mark.parametrize("alpha", [1e-320, 5e-324])
+    def test_cutoff_past_double_range_is_refused(self, alpha):
+        # the cutoff overflowed to inf, and _gl_panels never reached it
+        with pytest.raises(ValueError, match="cutoff"):
+            focknorm.radial_cutoff(3, 0.5, alpha)
+        with pytest.raises(ValueError, match="cutoff"):
+            fock_norm(entire.monomial(3), 1.0, alpha)
 
     def test_zero_function_norms(self):
         z = entire.CoeffFunction([0.0])
