@@ -28,6 +28,7 @@ from enum import Enum
 
 import numpy as np
 
+from .entire import _check_alpha
 from .focknorm import INF, _check_exponent
 from .measure import (
     DivergentMoment,
@@ -355,8 +356,7 @@ class RadialWeight:
 
 def gauss_weight(alpha: float) -> RadialWeight:
     """The weight exp(-alpha r^2 / 2); satisfies every hypothesis flag."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = _check_alpha(alpha)
     return RadialWeight(
         label=f"gauss:{alpha:g}",
         rapid_decay=True,

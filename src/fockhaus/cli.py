@@ -14,10 +14,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import classify, entire, harness, measure
-from .focknorm import INF, FockParams, _check_alpha, fock_norm, mixed_norm
+from .focknorm import INF, FockParams, mixed_norm
 from .hausdorff import HausdorffOperator, IllDefined, apply_quadrature, apply_spectral
 
 FMT = "%.13g"
@@ -149,7 +147,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if hasattr(args, "alpha"):
-            _check_alpha(args.alpha)
+            entire._check_alpha(args.alpha)
         if args.command == "moments":
             m = _load_measure(args.measure)
             seq = measure.moments(m, args.n)
@@ -168,13 +166,8 @@ def main(argv=None) -> int:
                     print(f"{z!r} -> {_fmt(v.real)} {'+' if v.imag >= 0 else '-'} {_fmt(abs(v.imag))}j")
         elif args.command == "norm":
             f = _load_function(args.fn, args.alpha)
-            if args.q is None or args.q == args.p:
-                value = fock_norm(f, args.p, args.alpha, method=args.method)
-            else:
-                value = mixed_norm(
-                    f, FockParams(args.p, args.q, args.alpha), method=args.method
-                )
-            print(_fmt(value))
+            q = args.p if args.q is None else args.q
+            print(_fmt(mixed_norm(f, FockParams(args.p, q, args.alpha), method=args.method)))
         elif args.command == "classify":
             m = _load_measure(args.measure)
             reports = _classification_reports(m, args.p, args.q, args.alpha, args.weight)

@@ -21,6 +21,14 @@ _log_factorial_table = np.zeros(1)  # log 0!
 _log_factorial_table.flags.writeable = False
 
 
+def _check_alpha(alpha: float) -> float:
+    """alpha as a float, or ValueError unless it is positive and finite."""
+    alpha = float(alpha)
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
+    return alpha
+
+
 def log_factorials(n_max: int) -> np.ndarray:
     """log k! = math.lgamma(k + 1) for k = 0..n_max, a read-only view of one table.
 
@@ -202,8 +210,7 @@ def gaussian_peak(n: int, alpha: float, n_max: int | None = None,
     """
     if n < 1:
         raise ValueError("peak index must be >= 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = _check_alpha(alpha)
     x = n * (2.0 * n / alpha)
     n_max = _exp_series_degree(x, rel_tol, 2000, n_max)
     coeffs = _exp_coeffs(float(n), 0.0, n_max)

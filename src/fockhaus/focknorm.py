@@ -8,8 +8,10 @@ Norm conventions, for f entire, 0 < p, q <= inf, alpha > 0:
     q = inf          sup_r M_p(f,r) e^{-alpha*r^2/2}
 
 Factorials and powers overflow long before the interesting degrees do, so
-every accumulation happens on logarithms; only the final norm is
-exponentiated.  The module needs numpy only.
+every accumulation happens on logarithms.  A value leaves logs in one
+place, _exp, which raises measure.DomainError when it is past double range
+instead of returning inf.  _log_norm is the one place a norm's route is
+chosen.  The module needs numpy only.
 
 Circle means factor out z**m, m the index of the first nonzero coefficient
 (|z**m h(z)| = r**m |h(z)| on |z| = r), so c*z**n costs one 64-angle level.
@@ -39,9 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .entire import CoeffFunction, log_factorials, logsumexp, unit_phases
+from .entire import CoeffFunction, _check_alpha, log_factorials, logsumexp, unit_phases
+from .measure import DomainError
 
 INF = float("inf")
+_LOG_DBL_MAX = math.log(np.finfo(float).max)  # exp above this overflows
 
 # finite-p means start at _fft_len(max(64, 4*(degree+1))) angles, the degree
 # taken after z**m is factored out, so c*z**n transforms 64 angles
@@ -61,13 +65,6 @@ _ANGLE_EVALS = 4  # per p = inf circle maximum: the grid angle, then 3 Newton st
 _SUP_ROUNDS = 6  # bracket rounds of the radial sup, each 8-fold narrower
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
-    return alpha
-
-
 def _check_exponent(p: float, name: str = "p") -> float:
     p = float(p)
     if p == INF:
@@ -79,16 +76,16 @@ def _check_exponent(p: float, name: str = "p") -> float:
 
 @dataclass(frozen=True)
 class FockParams:
-    """Exponent pair and weight parameter for a (mixed) Fock norm."""
+    """Exponent pair and weight parameter for a (mixed) Fock norm, checked floats."""
 
     p: float
     q: float
     alpha: float
 
     def __post_init__(self) -> None:
-        _check_exponent(self.p, "p")
-        _check_exponent(self.q, "q")
-        _check_alpha(self.alpha)
+        object.__setattr__(self, "p", _check_exponent(self.p, "p"))
+        object.__setattr__(self, "q", _check_exponent(self.q, "q"))
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
 
 
 def radial_cutoff(degree: int, p_min: float, alpha: float) -> float:
@@ -161,12 +158,8 @@ def _log_pos(x: np.ndarray) -> np.ndarray:
     return np.log(x, out=np.full_like(x, -np.inf), where=x > 0)
 
 
-def _scaled_rows(coeffs: np.ndarray, radii: np.ndarray):
-    """Per-radius rescaled coefficients c_n * r**n / exp(L) with the log scale L.
-
-    L is chosen as the largest log term of the row, so every scaled entry has
-    modulus <= 1 and the row sum stays in range.
-    """
+def _log_terms(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """log|c_n r**n|, one row per radius and one column per index n."""
     la = _log_abs(coeffs)
     n = np.arange(len(coeffs), dtype=float)
     logr = _log_pos(radii)
@@ -175,6 +168,16 @@ def _scaled_rows(coeffs: np.ndarray, radii: np.ndarray):
     # r = 0 rows: only the constant term survives (kill the 0 * -inf artifacts)
     log_terms[radii == 0.0, 1:] = -np.inf
     log_terms[radii == 0.0, 0] = la[0]
+    return log_terms
+
+
+def _scaled_rows(coeffs: np.ndarray, radii: np.ndarray):
+    """Per-radius rescaled coefficients c_n * r**n / exp(L) with the log scale L.
+
+    L is chosen as the largest log term of the row, so every scaled entry has
+    modulus <= 1 and the row sum stays in range.
+    """
+    log_terms = _log_terms(coeffs, radii)
     L = log_terms.max(axis=1)
     finite = L > -np.inf
     scaled = np.zeros_like(log_terms)
@@ -282,14 +285,8 @@ def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
 
 
 def _log_mean_2(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    la = _log_abs(coeffs)
-    n = np.arange(len(coeffs), dtype=float)
-    logr = _log_pos(radii)
-    with np.errstate(invalid="ignore"):
-        log_terms = 2.0 * la[None, :] + 2.0 * n[None, :] * logr[:, None]
-    log_terms[radii == 0.0, 1:] = -np.inf
-    log_terms[radii == 0.0, 0] = 2.0 * la[0]
-    return 0.5 * logsumexp(log_terms, axis=1)
+    """log M_2(f, r) by Parseval: half the log of sum |c_n|**2 r**(2n)."""
+    return 0.5 * logsumexp(2.0 * _log_terms(coeffs, radii), axis=1)
 
 
 def _log_mean_inf(coeffs: np.ndarray, radii: np.ndarray,
@@ -366,7 +363,7 @@ def circle_mean(f: CoeffFunction, p: float, r: float) -> float:
     p = _check_exponent(p)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    return float(np.exp(_log_circle_means(f.coeffs, p, np.array([r]))[0]))
+    return _exp(_log_circle_means(f.coeffs, p, np.array([r]))[0], "circle mean")
 
 
 def _log_radial_sup(coeffs: np.ndarray, p: float, alpha: float) -> float:
@@ -420,35 +417,35 @@ def _log_radial_integral(coeffs: np.ndarray, p: float, q: float, alpha: float) -
     )
 
 
-def fock_norm(f: CoeffFunction, p: float, alpha: float, method: str = "auto") -> float:
-    """||f||_{p,alpha}.
+def _exp(log_value: float, what: str) -> float:
+    """exp(log_value), the one exit from logs: DomainError (CLI exit 2), not an
+    overflow warning, past double range or at NaN.  np.exp keeps the routes' bits."""
+    if not log_value <= _LOG_DBL_MAX:
+        raise DomainError(f"{what} is not in double range: its log is {float(log_value):.13g}")
+    return float(np.exp(log_value))
 
-    method = "auto" uses the exact coefficient series at p = 2, which is
-    coeff_weighted_lp(f, 2, alpha) = (sum |a_n|**2 n!/alpha**n)**(1/2), and
-    radial quadrature otherwise; "quadrature" forces the integral route
-    (p = inf always goes through the sup search).
-    """
-    p = _check_exponent(p)
-    alpha = _check_alpha(alpha)
+
+def _log_norm(coeffs: np.ndarray, p: float, q: float, alpha: float, method: str) -> float:
+    """log ||f||_{p,q,alpha}, the one place a route is chosen: q = inf is the sup
+    search, p = q = 2 with method "auto" the exact series (sum |a_n|**2 n!/alpha**n)**(1/2),
+    and everything else the q-th root of the radial integral."""
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    if p == INF:
-        return float(np.exp(_log_radial_sup(f.coeffs, INF, alpha)))
-    if p == 2.0 and method == "auto":
-        return coeff_weighted_lp(f, 2.0, alpha)
-    log_int = _log_radial_integral(f.coeffs, p, p, alpha)
-    return float(np.exp(log_int / p))
+    if q == INF:
+        return _log_radial_sup(coeffs, p, alpha)
+    if p == q == 2.0 and method == "auto":
+        return _log_coeff_lp(coeffs, 2.0, alpha)
+    return _log_radial_integral(coeffs, p, q, alpha) / q
+
+
+def fock_norm(f: CoeffFunction, p: float, alpha: float, method: str = "auto") -> float:
+    """||f||_{p,alpha}, the mixed norm at q = p; _log_norm names the routes."""
+    return mixed_norm(f, FockParams(p, p, alpha), method=method)
 
 
 def mixed_norm(f: CoeffFunction, params: FockParams, method: str = "auto") -> float:
-    """||f||_{p,q,alpha}, with the q = inf branch returning the weighted sup."""
-    p, q, alpha = params.p, params.q, params.alpha
-    if p == q:
-        return fock_norm(f, p, alpha, method=method)
-    if q == INF:
-        return float(np.exp(_log_radial_sup(f.coeffs, p, alpha)))
-    log_int = _log_radial_integral(f.coeffs, p, q, alpha)
-    return float(np.exp(log_int / q))
+    """||f||_{p,q,alpha}, with q = inf the weighted sup; _log_norm names the routes."""
+    return _exp(_log_norm(f.coeffs, params.p, params.q, params.alpha, method), "norm")
 
 
 def log_monomial_norm(n: int, p: float, alpha: float) -> float:
@@ -467,7 +464,7 @@ def log_monomial_norm(n: int, p: float, alpha: float) -> float:
 
 def monomial_norm_closed(n: int, p: float, alpha: float) -> float:
     """||u_n||_{p,alpha} in closed form; p = inf uses (n/(alpha*e))**(n/2)."""
-    return math.exp(log_monomial_norm(n, p, alpha))
+    return _exp(log_monomial_norm(n, p, alpha), "norm")
 
 
 def kernel_norm_closed(beta: float, a: complex, p: float, alpha: float) -> float:
@@ -476,21 +473,25 @@ def kernel_norm_closed(beta: float, a: complex, p: float, alpha: float) -> float
     _check_alpha(alpha)
     if beta <= 0:
         raise ValueError("beta must be positive")
-    return math.exp(beta**2 * abs(complex(a)) ** 2 / (2.0 * alpha))
+    return _exp(beta**2 * abs(complex(a)) ** 2 / (2.0 * alpha), "norm")
+
+
+def _log_coeff_lp(coeffs: np.ndarray, p: float, alpha: float, gamma: float = 0.0) -> float:
+    """log of the l_p norm of the sequence a_n * sqrt(n!/alpha^n) * (n+1)**gamma."""
+    la = _log_abs(coeffs)
+    n = np.arange(len(coeffs), dtype=float)
+    logw = (la + 0.5 * (log_factorials(len(coeffs) - 1) - n * math.log(alpha))
+            + gamma * np.log(n + 1.0))
+    finite = np.isfinite(logw)
+    if not finite.any():
+        return -INF
+    if p == INF:
+        return logw[finite].max()
+    return logsumexp(p * logw[finite]) / p
 
 
 def coeff_weighted_lp(f: CoeffFunction, p: float, alpha: float,
                       gamma: float = 0.0) -> float:
     """l_p norm of the sequence a_n * sqrt(n!/alpha^n) * (n+1)**gamma."""
-    p = _check_exponent(p)
-    alpha = _check_alpha(alpha)
-    la = _log_abs(f.coeffs)
-    n = np.arange(len(f.coeffs), dtype=float)
-    logw = (la + 0.5 * (log_factorials(len(f.coeffs) - 1) - n * math.log(alpha))
-            + gamma * np.log(n + 1.0))
-    finite = np.isfinite(logw)
-    if not finite.any():
-        return 0.0
-    if p == INF:
-        return float(np.exp(logw[finite].max()))
-    return float(np.exp(logsumexp(p * logw[finite]) / p))
+    p, alpha = _check_exponent(p), _check_alpha(alpha)
+    return _exp(_log_coeff_lp(f.coeffs, p, alpha, gamma), "weighted l_p norm")

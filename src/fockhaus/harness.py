@@ -24,6 +24,7 @@ from .entire import (
     rademacher_randomize,
 )
 from .focknorm import (
+    _LOG_DBL_MAX,
     INF,
     FockParams,
     _log_circle_means,
@@ -41,8 +42,6 @@ from .hausdorff import (
 from .entire import dilate
 
 SLACK = 1e-9  # separates mathematical violation from quadrature error
-
-_LOG_DBL_MAX = math.log(np.finfo(float).max)  # exp above this overflows
 
 P_GRID = (0.5, 1.0, 2.0, 4.0, INF)
 

@@ -16,12 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure as msr
-from .entire import CoeffFunction, unit_phases
-from .focknorm import INF, _check_exponent, log_monomial_norm
+from .entire import CoeffFunction, _check_alpha, unit_phases
+from .focknorm import _LOG_DBL_MAX, INF, _check_exponent, log_monomial_norm
 from .measure import DomainError, MeasureSpec
-
-
-_LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 class IllDefined(Exception):
@@ -111,8 +108,7 @@ def dilation_opnorm_bounds(t: float, p: float, q: float, alpha: float) -> Dilati
     """
     p = _check_exponent(p, "p")
     q = _check_exponent(q, "q")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     if t <= 1.0:
         raise ValueError("need t > 1")
     inv_p = 0.0 if p == INF else 1.0 / p

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fockhaus
 from fockhaus import cli, measure
@@ -160,6 +163,8 @@ def test_subnormal_coefficient_norm(tmp_path, capsys):
     ["norm", "--fn", "monomial:3", "--p", "0.5", "--alpha", "5e-324"],
     ["classify", "--measure", "hardy", "--alpha", "nan"],
     ["report", "--measure", "hardy", "--alpha", "-1"],
+    ["classify", "--measure", "hardy", "--weight", "gauss:nan"],  # labelled gauss:nan
+    ["classify", "--measure", "hardy", "--weight", "gauss:inf"],
 ])
 def test_bad_alpha_is_a_usage_error(argv, capsys):
     # these printed 0 or a verdict and exited 0, or never returned
@@ -175,6 +180,73 @@ def test_bad_alpha_is_a_usage_error(argv, capsys):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("fockhaus: error: ")  # no traceback
+
+
+@pytest.mark.parametrize("flags", [
+    ["--p", "2", "--alpha", "1e-320"],  # the coefficient series
+    ["--p", "4", "--alpha", "1e-300"],  # the radial integral
+    ["--p", "4", "--q", "inf", "--alpha", "1e-300"],  # the sup of the mixed norm
+    ["--p", "inf", "--alpha", "1e-300"],  # the sup
+])
+def test_norm_past_double_range_is_a_precondition_failure(flags, capsys):
+    # ||u_3|| is about e**1036 at alpha = 1e-300: these printed inf after a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["norm", "--fn", "monomial:3", *flags])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("fockhaus: DomainError: ")
+
+
+# -- the norm command under generated inputs ---------------------------------------------
+
+_EXPONENTS = st.one_of(st.floats(0.1, 10.0, exclude_min=True, exclude_max=True),
+                       st.just(math.inf))
+_ENTRIES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e300, -1e300]),
+                     st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+_FUNCTIONS = st.one_of(
+    st.integers(0, 60).map(lambda n: f"monomial:{n}"),
+    st.lists(st.tuples(_ENTRIES, _ENTRIES), min_size=1, max_size=21),
+)
+_ALPHAS = st.one_of(st.floats(-320.0, 300.0).map(lambda e: 10.0**e),
+                    st.sampled_from([math.nan, math.inf, -math.inf, 0.0]))
+
+
+@pytest.fixture(scope="module")
+def coeff_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("norm") / "f.json"
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(fn=_FUNCTIONS, p=_EXPONENTS, q=st.one_of(st.none(), _EXPONENTS), alpha=_ALPHAS)
+def test_norm_keeps_the_exit_code_contract(coeff_file, fn, p, q, alpha):
+    if not isinstance(fn, str):
+        coeff_file.write_text(json.dumps({"coeffs": fn}), encoding="utf-8")
+        fn = str(coeff_file)
+    argv = ["norm", "--fn", fn, f"--p={p!r}", f"--alpha={alpha!r}"]  # a bare -inf reads as a flag
+    if q is not None:
+        argv.append(f"--q={q!r}")
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(20)
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # a usage error from argparse
+                code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = out.getvalue(), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == "" and out.count("\n") == 1 and math.isfinite(float(out))
+    else:
+        assert out == "" and "Traceback" not in err
 
 
 # -- cold start: no path loads scipy ---------------------------------------------------------

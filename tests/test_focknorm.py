@@ -18,6 +18,7 @@ from fockhaus.focknorm import (
     mixed_norm,
     monomial_norm_closed,
 )
+from fockhaus.measure import DomainError
 
 
 def rand_poly(rng, degree):
@@ -636,6 +637,8 @@ class TestValidation:
             FockParams(1.0, 2.0, 0.0)
         with pytest.raises(ValueError):
             fock_norm(entire.monomial(0), 2.0, 1.0, method="montecarlo")
+        with pytest.raises(ValueError):  # returned 1.414... at p != q
+            mixed_norm(entire.monomial(1), FockParams(1.0, 2.0, 1.0), method="montecarlo")
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
     def test_bad_alpha(self, alpha):
@@ -660,3 +663,24 @@ class TestValidation:
         assert fock_norm(z, 2.0, 1.0) == 0.0
         assert fock_norm(z, 1.0, 1.0, method="quadrature") == 0.0
         assert fock_norm(z, INF, 1.0) == 0.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: fock_norm(entire.monomial(3), 4.0, 1e-300),  # ||u_3|| is about e**1036
+        lambda: mixed_norm(entire.monomial(3), FockParams(4.0, INF, 1e-300)),
+        lambda: coeff_weighted_lp(entire.monomial(3), 2.0, 1e-320),
+        lambda: circle_mean(entire.monomial(300), 2.0, 1e3),  # warned and returned inf
+        lambda: monomial_norm_closed(10**6, 2.0, 1e-300),  # raised OverflowError
+        lambda: kernel_norm_closed(30.0, 30.0, 2.0, 1e-3),  # raised OverflowError
+    ], ids=["fock_norm", "mixed_norm", "coeff_weighted_lp", "circle_mean",
+            "monomial_norm_closed", "kernel_norm_closed"])
+    def test_norm_past_double_range_is_a_domain_error(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="double range"):
+                call()
+
+    def test_the_exit_from_logs_keeps_the_largest_double(self):
+        assert focknorm._exp(focknorm._LOG_DBL_MAX, "x") == np.exp(focknorm._LOG_DBL_MAX)
+        assert focknorm._exp(-INF, "x") == 0.0
+        with pytest.raises(DomainError):
+            focknorm._exp(math.nan, "x")
