@@ -100,13 +100,15 @@ class ClassReport:
 
 # -- series machinery ---------------------------------------------------------
 
+SERIES_HORIZON = 10_000  # terms a series scan may read from closed-form moments
+SUP_HORIZON = 2_048  # the same for a sup scan
 QUAD_BACKED_HORIZON = 256
 DIVERGENCE_CUTOFF = 1e20  # a partial sum or prefix sup past this ends the scan
 
 
-def _horizon(m: MeasureSpec, n_terms: int, uncapped: int) -> int:
+def _horizon(m: MeasureSpec, uncapped: int) -> int:
     """Terms a scan may read: quadrature-backed moments stop at QUAD_BACKED_HORIZON."""
-    return min(n_terms, uncapped if m.closed_form else QUAD_BACKED_HORIZON)
+    return uncapped if m.closed_form else QUAD_BACKED_HORIZON
 
 
 def _scan(m: MeasureSpec, power: float, w: float, horizon: int, accumulate, stop):
@@ -147,7 +149,6 @@ def series_verdict(
     m: MeasureSpec,
     weight_exponent: float = 0.0,
     power: float = 1.0,
-    n_terms: int = 10_000,
 ) -> SeriesVerdict:
     """Certified verdict on sum over n of mu_n**power * (n+1)**weight_exponent.
 
@@ -156,7 +157,7 @@ def series_verdict(
     """
     if not power > 0:
         raise ValueError("power must be > 0")
-    up, lo, horizon = m.decay_upper(), m.decay_lower(), _horizon(m, n_terms, n_terms)
+    up, lo, horizon = m.decay_upper(), m.decay_lower(), _horizon(m, SERIES_HORIZON)
 
     outcome, tail, witness = "unknown", None, None
     if up is not None:
@@ -199,13 +200,9 @@ def series_verdict(
     )
 
 
-def sup_verdict(
-    m: MeasureSpec,
-    weight_exponent: float = 0.0,
-    n_terms: int = 10_000,
-) -> SeriesVerdict:
+def sup_verdict(m: MeasureSpec, weight_exponent: float = 0.0) -> SeriesVerdict:
     """Certified verdict on sup over n of mu_n * (n+1)**weight_exponent."""
-    up, lo, horizon = m.decay_upper(), m.decay_lower(), _horizon(m, n_terms, 2048)
+    up, lo, horizon = m.decay_upper(), m.decay_lower(), _horizon(m, SUP_HORIZON)
 
     outcome, bound, witness = "unknown", None, None
     if up is not None:

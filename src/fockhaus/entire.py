@@ -146,12 +146,13 @@ def _exp_series_degree(x: float, rel_tol: float, cap: int, n_max: int | None) ->
     """n_max, or else the smallest N with sum_{n>N} x**n/n! <= rel_tol * e**x.
 
     Tail bound: x**(N+1)/(N+1)! * 1/(1 - x/(N+2)) once N+2 > x.  TruncationError
-    when no N <= cap meets it, or when a given n_max is below N.
+    when no N <= cap meets it (always for x > cap, x = inf included), or when a
+    given n_max is below N.
     """
     needed = 0
     if x > 0.0:
         log_target = math.log(rel_tol) + x
-        for needed in range(max(0, int(x)), cap + 1):
+        for needed in range(int(min(x, cap + 1.0)), cap + 1):
             if needed + 2 > x:
                 log_tail = ((needed + 1) * math.log(x) - math.lgamma(needed + 2.0)
                             - math.log(1.0 - x / (needed + 2)))

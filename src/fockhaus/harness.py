@@ -1,7 +1,8 @@
 """Desk-scale verification suites for the library's inequalities.
 
-Each suite replays one family of inequalities on a reproducible corpus and
-reports violations plus a measured constant.  Exact inequalities must come
+Every suite works at alpha = ALPHA = 1 and draws its functions from the corpus
+fixed by the seed (``build_corpus``); each replays one family of inequalities
+and reports violations plus a measured constant.  Exact inequalities must come
 back with zero violations (up to a 1e-9 quadrature slack); two-sided
 comparability claims with existential constants are recorded and regressed
 against first-build values, never asserted at paper-unspecified levels.
@@ -9,6 +10,7 @@ against first-build values, never asserted at paper-unspecified levels.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +19,7 @@ import numpy as np
 from . import classify, measure as msr
 from .entire import (
     CoeffFunction,
+    dilate,
     kernel,
     log_factorials,
     logsumexp,
@@ -39,22 +42,14 @@ from .hausdorff import (
     dilation_opnorm_bounds,
     dilation_opnorm_estimate,
 )
-from .entire import dilate
 
 SLACK = 1e-9  # separates mathematical violation from quadrature error
+ALPHA = 1.0  # the weight e^{-alpha r^2/2} of every suite's norms
+CORPUS_SIZE = 30  # random functions per corpus, before the three fixed ones
+SIGN_SAMPLES = 64  # Rademacher sign draws per function and exponent
+EXPLEMA_SAMPLES = 12  # points x of the exponential-series comparison
 
 P_GRID = (0.5, 1.0, 2.0, 4.0, INF)
-
-
-@dataclass(frozen=True)
-class CorpusSpec:
-    """Reproducible random-function corpus: coefficients uniform on the unit disk."""
-
-    seed: int = 42
-    count: int = 30
-    degree_min: int = 3
-    degree_max: int = 20
-    include_specials: bool = True
 
 
 @dataclass
@@ -76,74 +71,57 @@ class PropertyResult:
 CSV_HEADER = "property-id,trials,violations,worst-margin,measured-constant"
 
 
-def build_corpus(spec: CorpusSpec) -> list[CoeffFunction]:
-    rng = np.random.default_rng(spec.seed)
+def build_corpus(seed: int, degree_max: int = 20) -> list[CoeffFunction]:
+    """CORPUS_SIZE random polynomials of degree 3..degree_max with coefficients
+    uniform on the unit disk, drawn in turn from the seed, then u_0, u_5 and a kernel."""
+    rng = np.random.default_rng(seed)
     out: list[CoeffFunction] = []
-    for i in range(spec.count):
-        deg = int(rng.integers(spec.degree_min, spec.degree_max + 1))
+    for i in range(CORPUS_SIZE):
+        deg = int(rng.integers(3, degree_max + 1))
         r = np.sqrt(rng.uniform(0.0, 1.0, deg + 1))
         th = rng.uniform(0.0, 2.0 * math.pi, deg + 1)
         coeffs = r * np.exp(1j * th)
         if coeffs[-1] == 0:
             coeffs[-1] = 0.5
         out.append(CoeffFunction(coeffs, label=f"rand{i}"))
-    if spec.include_specials:
-        out.append(monomial(0))
-        out.append(monomial(5))
-        out.append(kernel(1.0, 1.0, radius=10.0))
+    out += [monomial(0), monomial(5), kernel(1.0, 1.0, radius=10.0)]
     return out
+
+
+def _inequality(property_id: str, pairs: list[tuple[float, float]]) -> PropertyResult:
+    """The tally of lhs <= rhs over (lhs, rhs) pairs: a pair violates it when its
+    margin lhs - rhs (1 + SLACK) is positive, and the worst margin is relative to rhs."""
+    margins = [(lhs - rhs * (1.0 + SLACK), rhs) for lhs, rhs in pairs]
+    worst = max((m / max(rhs, 1e-300) for m, rhs in margins), default=-math.inf)
+    return PropertyResult(property_id, len(margins), sum(m > 0 for m, _ in margins), worst)
 
 
 # -- embeddings ---------------------------------------------------------------
 
 
-def check_embeddings(spec: CorpusSpec, alpha: float = 1.0) -> list[PropertyResult]:
+def check_embeddings(seed: int) -> list[PropertyResult]:
     """Monotonicity in p and the quantified comparison between q-exponents."""
-    corpus = build_corpus(spec)
-
-    tables = [
-        {(p, q): mixed_norm(f, FockParams(p, q, alpha)) for p in P_GRID for q in P_GRID}
-        for f in corpus
-    ]
-
-    p_viol = q_viol = 0
-    p_trials = q_trials = 0
-    p_worst = q_worst = -math.inf
-    for table in tables:
+    p_pairs, q_pairs = [], []
+    for f in build_corpus(seed):
+        table = {(p, q): mixed_norm(f, FockParams(p, q, ALPHA)) for p in P_GRID for q in P_GRID}
         for q in P_GRID:
-            ordered = sorted(x for x in P_GRID)
-            for p1, p2 in zip(ordered, ordered[1:]):
-                lhs, rhs = table[(p1, q)], table[(p2, q)]
-                margin = lhs - rhs * (1.0 + SLACK)
-                p_worst = max(p_worst, margin / max(rhs, 1e-300))
-                p_trials += 1
-                if margin > 0:
-                    p_viol += 1
+            p_pairs += [(table[(p1, q)], table[(p2, q)]) for p1, p2 in zip(P_GRID, P_GRID[1:])]
+        # ||f||_{p,inf} <= ||f||_{p,q2} <= (q2/q1)**(1/q2) ||f||_{p,q1} for finite q1 <= q2
         for p in P_GRID:
-            finite_q = [q for q in P_GRID if q != INF]
-            for q1 in finite_q:
-                for q2 in finite_q:
-                    if q1 > q2:
-                        continue
-                    lhs = table[(p, INF)]
-                    mid = table[(p, q2)]
-                    rhs = (q2 / q1) ** (1.0 / q2) * table[(p, q1)]
-                    for a, b in ((lhs, mid), (mid, rhs)):
-                        margin = a - b * (1.0 + SLACK)
-                        q_worst = max(q_worst, margin / max(b, 1e-300))
-                        q_trials += 1
-                        if margin > 0:
-                            q_viol += 1
+            for q1, q2 in itertools.combinations_with_replacement(P_GRID[:-1], 2):
+                mid = table[(p, q2)]
+                rhs = (q2 / q1) ** (1.0 / q2) * table[(p, q1)]
+                q_pairs += [(table[(p, INF)], mid), (mid, rhs)]
     return [
-        PropertyResult("embeddings/p-monotone", p_trials, p_viol, p_worst),
-        PropertyResult("embeddings/q-comparison", q_trials, q_viol, q_worst),
+        _inequality("embeddings/p-monotone", p_pairs),
+        _inequality("embeddings/q-comparison", q_pairs),
     ]
 
 
 # -- coefficient estimates -----------------------------------------------------
 
 
-def _coef_ratios(f: CoeffFunction, alpha: float) -> dict[str, float]:
+def _coef_ratios(f: CoeffFunction) -> dict[str, float]:
     n = np.arange(f.degree + 1, dtype=float)
     absa = np.abs(f.coeffs)
     ratios: dict[str, float] = {}
@@ -152,49 +130,47 @@ def _coef_ratios(f: CoeffFunction, alpha: float) -> dict[str, float]:
     lhs = float(
         np.sum(
             absa
-            * np.exp([log_monomial_norm(int(k), 1.0, alpha) for k in n])
+            * np.exp([log_monomial_norm(int(k), 1.0, ALPHA) for k in n])
             * (n + 1.0) ** -0.5
         )
     )
-    norm = {p: fock_norm(f, p, alpha) for p in (1.0, INF, 1.5, 2.0, 3.0, 4.0)}
+    norm = {p: fock_norm(f, p, ALPHA) for p in (1.0, INF, 1.5, 2.0, 3.0, 4.0)}
     ratios["coef/l1-lower"] = lhs / max(norm[1.0], 1e-300)
 
     # sup norm below the weighted coefficient sup
     rhs = float(
         np.max(
             absa
-            * np.exp([log_monomial_norm(int(k), INF, alpha) for k in n])
+            * np.exp([log_monomial_norm(int(k), INF, ALPHA) for k in n])
             * (n + 1.0) ** 0.5
         )
     )
     ratios["coef/sup-upper"] = norm[INF] / max(rhs, 1e-300)
 
-    for p in (1.0, 1.5, 2.0):
-        w = coeff_weighted_lp(f, p, alpha, gamma=0.5 * (1.0 / p - 0.5))
-        ratios[f"coef/lp-upper[p={p:g}]"] = norm[p] / max(w, 1e-300)
-        w2 = coeff_weighted_lp(f, p, alpha, gamma=0.5 * (0.5 - 1.0 / p))
-        ratios[f"coef/lp-lower[p={p:g}]"] = w2 / max(norm[p], 1e-300)
-    for q in (2.0, 3.0, 4.0):
-        w = coeff_weighted_lp(f, q, alpha, gamma=0.5 * (1.0 / q - 0.5))
-        ratios[f"coef/lq-lower[q={q:g}]"] = w / max(norm[q], 1e-300)
-        w2 = coeff_weighted_lp(f, q, alpha, gamma=0.5 * (0.5 - 1.0 / q))
-        ratios[f"coef/lq-upper[q={q:g}]"] = norm[q] / max(w2, 1e-300)
+    # the weighted l^e sums with gamma = +-(1/e - 1/2)/2 bracket the norm: the l^p pair
+    # for e <= 2, the l^q pair for e >= 2
+    for e in (1.0, 1.5, 2.0, 3.0, 4.0):
+        w_up = coeff_weighted_lp(f, e, ALPHA, gamma=0.5 * (1.0 / e - 0.5))
+        w_down = coeff_weighted_lp(f, e, ALPHA, gamma=0.5 * (0.5 - 1.0 / e))
+        if e <= 2.0:
+            ratios[f"coef/lp-upper[p={e:g}]"] = norm[e] / max(w_up, 1e-300)
+            ratios[f"coef/lp-lower[p={e:g}]"] = w_down / max(norm[e], 1e-300)
+        if e >= 2.0:
+            ratios[f"coef/lq-lower[q={e:g}]"] = w_up / max(norm[e], 1e-300)
+            ratios[f"coef/lq-upper[q={e:g}]"] = norm[e] / max(w_down, 1e-300)
     return ratios
 
 
-def check_coefficient_estimates(
-    spec: CorpusSpec, alpha: float = 1.0
-) -> list[PropertyResult]:
+def check_coefficient_estimates(seed: int) -> list[PropertyResult]:
     """Two-sided coefficient-norm comparisons: record the worst constants.
 
     The constants are existential, so the suite asserts only that every
     ratio is finite and that the worst ratio over low-degree prefixes does
     not explode as the degree grows (factor 5 guard).
     """
-    corpus = build_corpus(spec)
     by_id: dict[str, list[tuple[int, float]]] = {}
-    for f in corpus:
-        for cid, ratio in _coef_ratios(f, alpha).items():
+    for f in build_corpus(seed):
+        for cid, ratio in _coef_ratios(f).items():
             by_id.setdefault(cid, []).append((f.degree, ratio))
 
     results = []
@@ -221,29 +197,28 @@ def check_coefficient_estimates(
 # -- Rademacher averages ---------------------------------------------------------
 
 
-def check_khintchine(
-    spec: CorpusSpec, sign_samples: int = 64, alpha: float = 1.0
-) -> list[PropertyResult]:
+def check_khintchine(seed: int) -> list[PropertyResult]:
     """Average of randomized q-norms against the (2,q) mixed norm.
 
     The comparability constants depend only on q; the empirical two-sided
-    ratio must stay inside the generous bracket [0.1, 10].
+    ratio must stay inside the generous bracket [0.1, 10].  The corpus is the
+    first ten random functions of degree at most 15.
     """
-    corpus = [f for f in build_corpus(spec) if f.degree <= 15][:10]
-    rng = np.random.default_rng(spec.seed + 1)
+    corpus = build_corpus(seed, degree_max=15)[:10]
+    rng = np.random.default_rng(seed + 1)
     results = []
     for q in (0.5, 1.0, 2.0, 4.0):
         trials = violations = 0
         lo_ratio, hi_ratio = math.inf, -math.inf
         for f in corpus:
-            base = mixed_norm(f, FockParams(2.0, q, alpha))
+            base = mixed_norm(f, FockParams(2.0, q, ALPHA))
             if base == 0.0:
                 continue
             acc = 0.0
-            for _ in range(sign_samples):
+            for _ in range(SIGN_SAMPLES):
                 signs = rng.choice((-1.0, 1.0), size=f.degree + 1)
-                acc += fock_norm(rademacher_randomize(f, signs), q, alpha) ** q
-            ratio = (acc / sign_samples) ** (1.0 / q) / base
+                acc += fock_norm(rademacher_randomize(f, signs), q, ALPHA) ** q
+            ratio = (acc / SIGN_SAMPLES) ** (1.0 / q) / base
             lo_ratio, hi_ratio = min(lo_ratio, ratio), max(hi_ratio, ratio)
             trials += 1
             if not (0.1 <= ratio <= 10.0):
@@ -263,19 +238,12 @@ def check_khintchine(
 # -- contraction and dilation -----------------------------------------------------
 
 
-def check_contraction_and_dilation(
-    m: msr.MeasureSpec | None = None,
-    spec: CorpusSpec = CorpusSpec(),
-    alpha: float = 1.0,
-) -> list[PropertyResult]:
-    """Circle-mean contraction, dilation non-expansion, and the norm-estimate
-    exponent fit for the dilation from a larger exponent into a smaller one."""
-    m = m if m is not None else msr.hardy_measure()
-    rep = msr.support_report(m)
-    if rep.mass_below_1 != 0.0:
-        raise ValueError("contraction suite needs support inside [1, inf)")
-    op = HausdorffOperator(msr.normalize(m))
-    corpus = build_corpus(spec)
+def check_contraction_and_dilation(seed: int) -> list[PropertyResult]:
+    """Circle-mean contraction under the Hardy operator (its measure lives on
+    [1, inf)), dilation non-expansion, and the norm-estimate exponent fit for
+    the dilation from a larger exponent into a smaller one."""
+    op = HausdorffOperator(msr.normalize(msr.hardy_measure()))
+    corpus = build_corpus(seed)
     radii = np.linspace(0.0, 4.0, 64)
 
     trials = violations = 0
@@ -293,30 +261,20 @@ def check_contraction_and_dilation(
                 worst = max(worst, float(margin.max()))
     contraction = PropertyResult("contraction/circle-means", trials, violations, worst)
 
-    trials = violations = 0
-    worst = -math.inf
+    exponents = [(p, q) for p in (1.0, 2.0) for q in (1.0, INF)]
+    pairs = []
     for f in corpus[:10]:
-        base = {
-            (p, q): mixed_norm(f, FockParams(p, q, alpha))
-            for p in (1.0, 2.0)
-            for q in (1.0, INF)
-        }
+        base = [mixed_norm(f, FockParams(p, q, ALPHA)) for p, q in exponents]
         for t in (1.25, 2.0):
             g = dilate(f, t)
-            for (p, q), ref in base.items():
-                val = mixed_norm(g, FockParams(p, q, alpha))
-                margin = val - ref * (1.0 + SLACK)
-                trials += 1
-                worst = max(worst, margin / max(ref, 1e-300))
-                if margin > 0:
-                    violations += 1
-    nonexpansion = PropertyResult("dilation/non-expansion", trials, violations, worst)
+            pairs += [(mixed_norm(g, FockParams(p, q, ALPHA)), ref)
+                      for (p, q), ref in zip(exponents, base)]
+    results = [contraction, _inequality("dilation/non-expansion", pairs)]
 
-    results = [contraction, nonexpansion]
     ts = np.array([1.01, 1.02, 1.04, 1.07, 1.1, 1.15, 1.2])
     for p, q in ((1.0, 2.0), (2.0, INF)):
         ests = np.array(
-            [dilation_opnorm_estimate(t, p, q, alpha, n_max=600) for t in ts]
+            [dilation_opnorm_estimate(t, p, q, ALPHA, n_max=600) for t in ts]
         )
         x = np.log(1.0 - 1.0 / ts**2)
         slope = float(np.polyfit(x, np.log(ests), 1)[0])
@@ -325,8 +283,8 @@ def check_contraction_and_dilation(
         hi = max(0.5 * iq - 0.5 / p, iq - 1.0 / p) + 0.1
         ok = lo <= slope <= hi
         # sandwich ratios against the shape bounds, constants recorded not asserted
-        lows = np.array([dilation_opnorm_bounds(t, p, q, alpha).lower for t in ts])
-        ups = np.array([dilation_opnorm_bounds(t, p, q, alpha).upper for t in ts])
+        lows = np.array([dilation_opnorm_bounds(t, p, q).lower for t in ts])
+        ups = np.array([dilation_opnorm_bounds(t, p, q).upper for t in ts])
         results.append(
             PropertyResult(
                 property_id=f"dilation/slope-fit[p={p:g},q={q:g}]",
@@ -359,9 +317,9 @@ def _exp_weighted_ratio(log_gamma_n, delta: float, x: float) -> float:
     return float(logsumexp(terms) - x)
 
 
-def check_explema(samples: int = 12) -> list[PropertyResult]:
+def check_explema() -> list[PropertyResult]:
     """Boundedness of gamma_n (n+1)^delta matches the e^x domination test."""
-    xs = np.logspace(0.0, 4.0, samples)
+    xs = np.logspace(0.0, 4.0, EXPLEMA_SAMPLES)
     cases = [
         ("explema/balanced", lambda n: -math.log1p(n) * 1.0, 1.0, True),
         ("explema/sqrt-growth", lambda n: 0.0, 0.5, False),
@@ -463,11 +421,11 @@ def check_classifier_on_examples() -> list[PropertyResult]:
 
 # suite -> its checks at a seed, in the order "all" runs them
 _SUITE_RUNS = {
-    "embeddings": lambda seed: check_embeddings(CorpusSpec(seed=seed)),
-    "khintchine": lambda seed: check_khintchine(CorpusSpec(seed=seed, count=12, degree_max=15)),
-    "dilation": lambda seed: check_contraction_and_dilation(spec=CorpusSpec(seed=seed)),
+    "embeddings": check_embeddings,
+    "khintchine": check_khintchine,
+    "dilation": check_contraction_and_dilation,
     "examples": lambda seed: check_classifier_on_examples(),
-    "coefficients": lambda seed: check_coefficient_estimates(CorpusSpec(seed=seed)),
+    "coefficients": check_coefficient_estimates,
     "explema": lambda seed: check_explema(),
 }
 SUITES = tuple(_SUITE_RUNS)

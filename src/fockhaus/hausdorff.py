@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure as msr
-from .entire import CoeffFunction, _check_alpha, unit_phases
+from .entire import CoeffFunction, unit_phases
 from .focknorm import _LOG_DBL_MAX, INF, _check_exponent, log_monomial_norm
 from .measure import DomainError, MeasureSpec
 
@@ -101,14 +101,14 @@ class DilationBounds:
     constants_undetermined: bool = True
 
 
-def dilation_opnorm_bounds(t: float, p: float, q: float, alpha: float) -> DilationBounds:
+def dilation_opnorm_bounds(t: float, p: float, q: float) -> DilationBounds:
     """Bounds (1-1/t^2)**(1/(2q)-1/(2p)) and t**(2/q) (1-1/t^2)**(1/q-1/p).
 
-    For p = q the dilation is an exact isometry bound and both sides are 1.
+    Neither depends on alpha.  For p = q the dilation is an exact isometry
+    bound and both sides are 1.
     """
     p = _check_exponent(p, "p")
     q = _check_exponent(q, "q")
-    _check_alpha(alpha)
     if t <= 1.0:
         raise ValueError("need t > 1")
     inv_p = 0.0 if p == INF else 1.0 / p

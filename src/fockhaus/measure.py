@@ -63,6 +63,7 @@ class DomainError(Exception):
 CLOSED_FORM = "closed-form"
 QUAD_REL_TOL = 1e-10
 QUAD_TAG = f"quadrature({QUAD_REL_TOL:g})"
+GEOMETRIC_ATOMS_MAX = 10_000  # atoms geometric_atoms may materialize
 
 
 @dataclass(frozen=True)
@@ -451,7 +452,8 @@ def _log_beta(b: float, s: np.ndarray) -> np.ndarray:
     y = x + b
 
     def series(v):  # sum of c_k v**(1-2k), by Horner's rule in 1/v**2
-        w = 1.0 / (v * v)
+        with np.errstate(over="ignore"):  # v*v = inf past 1.3e154, where 1/v**2 is 0 anyway
+            w = 1.0 / (v * v)
         acc = np.full_like(v, _STIRLING[-1])
         for c in _STIRLING[-2::-1]:
             acc = acc * w + c
@@ -498,7 +500,12 @@ class BetaTailDensity(MeasureSpec):
             raise DivergentMoment(
                 f"beta-tail integral with exponent {exponent:g} diverges"
             )
-        return math.exp(_log_beta(self.b, np.array([second]))[0]), CLOSED_FORM
+        try:
+            return math.exp(_log_beta(self.b, np.array([second]))[0]), CLOSED_FORM
+        except OverflowError:  # e.g. mu_0 ~ 1/b for a tiny b
+            raise DomainError(
+                f"beta-tail integral with exponent {exponent:g} lies past double range"
+            ) from None
 
     def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
         return _log_beta(self.b, self.a + np.arange(n_min, n_max + 1.0) - self.b + 1.0)
@@ -1054,7 +1061,8 @@ def geometric_atoms(lam: float, ratio: float, tol: float = 1e-16) -> PointMasses
     """Truncation of sum over k >= 1 of lam**k * delta(ratio**k).
 
     Needs 0 < lam < 1 and ratio >= 1; the dropped tail of mu_0 is below
-    tol relative.
+    tol relative.  DomainError when that takes more than GEOMETRIC_ATOMS_MAX
+    atoms, or when the last position ratio**k_max is past double range.
     """
     lam = _as_positive(lam, "weight base")
     ratio = _as_positive(ratio, "position ratio")
@@ -1062,10 +1070,15 @@ def geometric_atoms(lam: float, ratio: float, tol: float = 1e-16) -> PointMasses
         raise ValueError("need 0 < lam < 1 and ratio >= 1")
     x = lam / ratio
     k_max = max(4, int(math.ceil(math.log(tol * (1 - x)) / math.log(x))))
+    if k_max > GEOMETRIC_ATOMS_MAX:
+        raise DomainError(f"the tail {tol:g} needs {k_max} atoms, more than {GEOMETRIC_ATOMS_MAX}")
     tail = x ** (k_max + 1) / (1 - x)
-    return truncated_atom_family(
-        lambda k: lam**k, lambda k: ratio**k, k_max=k_max, tail_bound=tail
-    )
+    try:
+        return truncated_atom_family(
+            lambda k: lam**k, lambda k: ratio**k, k_max=k_max, tail_bound=tail
+        )
+    except OverflowError:  # from a position ratio**k
+        raise DomainError(f"atom position {ratio:g}**{k_max} lies past double range") from None
 
 
 def named_measure(name: str) -> MeasureSpec:

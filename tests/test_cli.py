@@ -44,7 +44,10 @@ def test_apply_quadrature_matches_spectral(descriptor, capsys):
 # -- the exit-code contract --------------------------------------------------------------------
 
 NAMED = ["hardy", "beta:2:2", "beta:-0.3:0.5", "dirac:1", "dirac:1e-300", "dirac:1e300",
-         "geom:0.5:2"]
+         "geom:0.5:2",
+         # these raised OverflowError (beta:2:1e-320 through mu_0 ~ 1e320, geom:0.5:1e308
+         # through its atom positions) or built a list of 57 564 628 953 atoms
+         "beta:2:1e-320", "geom:0.5:1e308", "geom:0.999999999:1"]
 HARDY = {"type": "density", "kind": "power_tail", "a": 1.0}
 PRODUCTS = {
     "atom*hardy*hardy": {
@@ -196,6 +199,16 @@ def test_norm_past_double_range_is_a_precondition_failure(flags, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("fockhaus: DomainError: ")
+
+
+def test_kernel_past_the_truncation_cap_is_a_precondition_failure(capsys):
+    # the kernel's scale beta |a| radius is inf: int(inf) raised OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["norm", "--fn", "kernel:1:1e308:0", "--p", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("fockhaus: TruncationError: ")
 
 
 # -- the norm command under generated inputs ---------------------------------------------

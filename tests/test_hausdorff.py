@@ -204,28 +204,28 @@ def test_quadrature_matches_spectral_on_random_polynomials(m, coeffs, points):
 
 class TestDilationBounds:
     def test_large_t_asymptotics(self):
-        b = dilation_opnorm_bounds(1e6, 1.0, 2.0, 1.0)
+        b = dilation_opnorm_bounds(1e6, 1.0, 2.0)
         assert b.lower == pytest.approx(1.0, rel=1e-9)
         assert b.upper == pytest.approx((1e6) ** 1.0, rel=1e-9)
         assert b.constants_undetermined
 
     def test_equal_exponents(self):
         for t in (1.5, 10.0):
-            b = dilation_opnorm_bounds(t, 2.0, 2.0, 1.0)
+            b = dilation_opnorm_bounds(t, 2.0, 2.0)
             assert (b.lower, b.upper) == (1.0, 1.0)
 
     def test_plugin_arithmetic(self):
-        b = dilation_opnorm_bounds(1.1, 1.0, 2.0, 1.0)
+        b = dilation_opnorm_bounds(1.1, 1.0, 2.0)
         s = 1.0 - 1.0 / 1.21
         assert b.lower == pytest.approx(s ** (-0.25), rel=1e-12)
         assert b.upper == pytest.approx(1.1 * s ** (-0.5), rel=1e-12)
 
     def test_rejects_p_above_q(self):
         with pytest.raises(DomainError):
-            dilation_opnorm_bounds(1.5, 3.0, 2.0, 1.0)
+            dilation_opnorm_bounds(1.5, 3.0, 2.0)
 
     def test_infinite_q(self):
-        b = dilation_opnorm_bounds(2.0, 1.0, INF, 1.0)
+        b = dilation_opnorm_bounds(2.0, 1.0, INF)
         assert b.upper == pytest.approx((1.0 - 0.25) ** (0.0 - 1.0), rel=1e-12)
         assert b.lower == pytest.approx((1.0 - 0.25) ** (0.0 - 0.5), rel=1e-12)
 
@@ -258,7 +258,7 @@ class TestDilationEstimate:
         for p, q in ((1.0, 2.0), (2.0, INF)):
             for t in (1.02, 1.05, 1.1):
                 est = dilation_opnorm_estimate(t, p, q, 1.0, n_max=400)
-                b = dilation_opnorm_bounds(t, p, q, 1.0)
+                b = dilation_opnorm_bounds(t, p, q)
                 assert est <= b.upper * 2.0
                 assert est >= b.lower * 0.3
 

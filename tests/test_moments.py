@@ -203,6 +203,7 @@ def test_scans_match_the_scalar_loop(name):
 @pytest.mark.parametrize("argv", [
     ["report", "--measure", "dirac:1e-300"],
     ["classify", "--measure", "dirac:1e-50"],
+    ["moments", "--measure", "beta:1e308:2"],  # v*v overflowed in the Stirling series
 ])
 def test_far_moments_raise_no_warning(argv):
     out, err = io.StringIO(), io.StringIO()
