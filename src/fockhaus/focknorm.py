@@ -13,11 +13,24 @@ place, _exp, which raises measure.DomainError when it is past double range
 instead of returning inf.  _log_norm is the one place a norm's route is
 chosen.  The module needs numpy only.
 
+Every even p = 2k is a Parseval route: M_2k(f, r)**2k = sum |b_n|**2 r**(2n)
+with b_n the Taylor coefficients of f**k, so ||f||_{2k,alpha}**2k =
+sum |b_n|**2 n!/(alpha*k)**n exactly.  fock_norm at p = 2k takes that sum
+and builds no radial rule; the mixed (2k, q) and (2k, inf) norms take the
+Parseval means.  f**k comes from k - 1 convolutions while it has at most
+PARSEVAL_MAX_TERMS terms; past that, p = 2k takes the FFT means below.
+method="quadrature" keeps the radial rule at every p, so the rule has an
+exact oracle at every even p.
+
 Circle means factor out z**m, m the index of the first nonzero coefficient
 (|z**m h(z)| = r**m |h(z)| on |z| = r), so c*z**n costs one 64-angle level.
 The angle counts are rounded up to 5-smooth numbers 2**a * 3**b * 5**c,
 where an FFT is several times faster per point than at a length with a
 large prime factor such as 764 = 4*191.
+
+Exponents below MIN_EXPONENT are refused (DomainError): there the q-th root
+of a mean or of the radial integral cancels to about eps/q.  So is a radial
+rule of more than MAX_RADIAL_NODES nodes, which a huge q would need.
 
 A radial rule tells the circle means how much each radius counts: the
 integral passes its log-weights log r + log w_i - alpha*q*r^2/2 with q, the
@@ -63,6 +76,17 @@ GL_ORDER = 24  # Gauss-Legendre nodes per radial panel
 SUP_GRID = 512  # radii of the radial sup's first grid
 _ANGLE_EVALS = 4  # per p = inf circle maximum: the grid angle, then 3 Newton steps
 _SUP_ROUNDS = 6  # bracket rounds of the radial sup, each 8-fold narrower
+_INF_BLOCK = 64  # rows per FFT block of the p = inf grid, which bounds its memory
+MAX_RADIAL_NODES = 16384  # a radial rule past this many nodes is refused
+# down to here fock_norm(z**3, p) keeps its log within 1.5e-10 of the closed form, as at
+# p = 1e-2; at p = 1e-6 it is off by 1e-9, at 1e-8 by 2.3e-7
+MIN_EXPONENT = 1e-5
+PARSEVAL_MAX_TERMS = 8192  # even p = 2k is a Parseval route while k*len(coeffs) <= this
+_TINY = 2.0**-1074  # the least subnormal: what one underflowing operation can lose
+# a Parseval sum is kept when it is this far (1/eps) above what underflow can add to it
+_PARSEVAL_MARGIN = -math.log(np.finfo(float).eps)
+_PARSEVAL_BLOCK = 1 << 20  # entries of one round's matrix of Parseval terms
+_LOG_SUM_MIN = -650.0  # 58 nats above exp's subnormal range
 
 
 def _check_exponent(p: float, name: str = "p") -> float:
@@ -112,8 +136,12 @@ def _gl_panels(R: float, width: float, order: int):
     """Graded composite Gauss-Legendre nodes/weights on [0, R].
 
     Three geometrically shrinking starter panels absorb the fractional-power
-    behaviour of r**(np+1) at the origin.
+    behaviour of r**(np+1) at the origin.  A rule of more than
+    MAX_RADIAL_NODES nodes raises DomainError before anything is built.
     """
+    nodes = order * (R / width + 4.0) if width > 0.0 else INF  # width 0: alpha*q overflowed
+    if not nodes <= MAX_RADIAL_NODES:
+        raise DomainError(f"the radial rule needs {nodes:.3g} nodes, more than {MAX_RADIAL_NODES}")
     edges = [0.0]
     for frac in (1.0 / 64.0, 1.0 / 16.0, 1.0 / 4.0):
         e = width * frac
@@ -211,7 +239,9 @@ def _relevance(log_mean: np.ndarray, log_w: np.ndarray | None, q: float) -> np.n
 
 def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
                 log_w: np.ndarray | None = None, q: float = INF) -> np.ndarray:
-    """log M_p(f, r) for finite p != 2 via FFT power means with nested refinement.
+    """log M_p(f, r) for finite p via FFT power means with nested refinement.
+
+    _log_circle_means sends an even p here only past PARSEVAL_MAX_TERMS.
 
     The first level has K = _fft_len(max(MIN_ANGLE_NODES, 4*(deg+1))) angles,
     a 5-smooth count, and so is every doubling of it; deg is the degree left
@@ -236,22 +266,37 @@ def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
     level can hold almost twice that many angles, and rows still unsettled
     there (a zero of f close to a sampled circle gives algebraic
     convergence) are Aitken-extrapolated from the last three levels, which
-    removes the leading K**-s error term.  For an even integer p with
-    K > (p/2)*deg, |g|**p is a trigonometric polynomial the first level
-    integrates exactly, so no row refines.
+    removes the leading K**-s error term.
+
+    |g| <= deg + 1 on the scaled rows, so |g|**p stays in range unless p is
+    large.  Past that, each row sums (|g|/top)**p, with top its largest |g|
+    so far, and rescales its running sum whenever top rises.  There |g|**p
+    is led by its largest nodes and a level moves the mean by about
+    log(2)/p, not by the K**-s error Aitken removes, so rows at the cap keep
+    their last level.
     """
     deg = len(coeffs) - 1
     scaled, L = _scaled_rows(coeffs, radii)
     K = _fft_len(max(MIN_ANGLE_NODES, 4 * (deg + 1)))
     n = np.arange(deg + 1)
+    rescale = p * math.log(deg + 2.0) > _LOG_DBL_MAX - math.log(4.0 * MAX_ANGLE_NODES)
+    top = np.ones(len(radii))
+    sums = np.zeros(len(radii))
 
-    def moduli(block: np.ndarray, k: int) -> np.ndarray:
-        return np.abs(np.fft.fft(block, n=k, axis=1))
+    def add_powers(block: np.ndarray, rows, k: int) -> np.ndarray:
+        """Adds sum (|g|/top)**p over the k-point FFT of block to sums[rows]; returns |g|."""
+        vals = np.abs(np.fft.fft(block, n=k, axis=1))
+        if not rescale:
+            sums[rows] += np.sum(vals ** p, axis=1)
+            return vals
+        new_top = np.maximum(top[rows], vals.max(axis=1))
+        sums[rows] *= (top[rows] / new_top) ** p
+        top[rows] = new_top
+        sums[rows] += np.sum((vals / new_top[:, None]) ** p, axis=1)
+        return vals
 
-    sums = np.sum(moduli(scaled, K) ** p, axis=1)
-    out = _log_pos(sums / K) / p + L
-    if p % 2 == 0 and K > p / 2 * deg:
-        return out
+    add_powers(scaled, slice(None), K)
+    out = _log_pos(sums / K) / p + np.log(top) + L
     relevance = _relevance(out, log_w, q)
     noise = _NOISE * np.sum(np.abs(scaled), axis=1)
     floor = np.zeros_like(out)
@@ -259,20 +304,20 @@ def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
     hist = [np.full_like(out, np.nan), np.full_like(out, np.nan), out.copy()]
     while active.any() and K < MAX_ANGLE_NODES:
         midpoints = scaled[active] * np.exp(-1j * math.pi * n / K)
-        vals = moduli(midpoints, K)
-        sums[active] += np.sum(vals ** p, axis=1)
+        vals = add_powers(midpoints, active, K)
         noisy = np.count_nonzero(vals <= noise[active, None], axis=1) / K
         K *= 2
-        cur = _log_pos(sums[active] / K) / p + L[active]
+        cur = _log_pos(sums[active] / K) / p + np.log(top[active]) + L[active]
         hist = [h.copy() for h in hist[1:]] + [hist[-1].copy()]
         hist[-1][active] = cur
         out[active] = cur
         with np.errstate(invalid="ignore", divide="ignore"):
-            floor[active] = noisy * noise[active] ** p / (sums[active] / K) / p
+            floor[active] = (noisy * (noise[active] / top[active]) ** p
+                             / (sums[active] / K) / p)
             diff = np.abs(hist[-1] - hist[-2])
         diff[~np.isfinite(diff)] = 0.0
         active &= (diff * relevance > ABS_TOL * 10) & (diff > 2.0 * floor)
-    if active.any():
+    if active.any() and not rescale:
         # cap reached on rows with algebraically converging means (a zero of f
         # near the circle): Aitken-extrapolate the last three levels
         m1, m2, m3 = (h[active] for h in hist)
@@ -284,9 +329,80 @@ def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
     return out
 
 
-def _log_mean_2(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """log M_2(f, r) by Parseval: half the log of sum |c_n|**2 r**(2n)."""
-    return 0.5 * logsumexp(2.0 * _log_terms(coeffs, radii), axis=1)
+def _even_k(p: float, n_terms: int) -> int:
+    """k when p = 2k and f**k, f with n_terms coefficients, has at most
+    PARSEVAL_MAX_TERMS of them; 0 otherwise."""
+    if p == INF or p % 2.0:
+        return 0
+    k = int(p) // 2
+    return k if k * n_terms <= PARSEVAL_MAX_TERMS else 0
+
+
+def _power_coeffs(coeffs: np.ndarray, k: int, log_rho: float):
+    """(b, log_scale, log_err): f(rho*z)**k has the Taylor coefficients
+    b*exp(log_scale), and exp(log_err) bounds the underflow error of each b_n.
+
+    The coefficients c_n rho**n are divided by the largest of them, and the
+    running power by its largest coefficient after each of the k - 1
+    convolutions, so every entry is at most 1 in modulus.  Underflow then
+    loses at most _TINY per scaled coefficient, per product and per division;
+    an error e in the running power becomes at most e*sum|c_n| in the next one.
+    """
+    la = _log_abs(coeffs) + np.arange(len(coeffs)) * log_rho
+    log_scale = la.max()
+    c = np.exp(la - log_scale) * unit_phases(coeffs)
+    s = float(np.sum(np.abs(c)))
+    b, err = c, _TINY
+    log_scale *= k
+    for _ in range(k - 1):
+        b = np.convolve(b, c)
+        top = float(np.abs(b).max())
+        if not top > 0.0:
+            return b, log_scale, INF
+        err = (err * s + (len(b) + len(c)) * _TINY) / top + _TINY
+        b /= top
+        log_scale += math.log(top)
+    return b, log_scale, math.log(err)
+
+
+def _log_mean_2(coeffs: np.ndarray, radii: np.ndarray, k: int = 1) -> np.ndarray:
+    """log M_2(f**k, r)/k = log M_2k(f, r) by Parseval: the log of
+    sum |b_n|**2 r**(2n) over 2k, b_n the Taylor coefficients of f**k.
+
+    For k > 1, f**k is formed once per round at the largest radius rho not yet
+    done (_power_coeffs), for at most _PARSEVAL_BLOCK // len(b) rows, the
+    largest radii first.  Then |b_n| <= 1 and r <= rho, so each row's sum
+    of |b_n|**2 (r/rho)**(2n) is taken without a shift.  A row keeps its
+    mean once that is _PARSEVAL_MARGIN above what underflow can add to it,
+    sqrt(len(b)) times the error of each b_n, and once its sum is above
+    e**_LOG_SUM_MIN, so that the terms that matter are normal floats.  The
+    other rows take the next round.  The row at rho is always kept:
+    max |b_n| = 1 puts its mean at >= 1, so only an error bound grown by
+    cancellation, which would spoil the FFT means as much, can fall short.
+    """
+    if k == 1:
+        return 0.5 * logsumexp(2.0 * _log_terms(coeffs, radii), axis=1)
+    if not coeffs.any():
+        return np.full(len(radii), -np.inf)
+    out = np.empty(len(radii))
+    out[radii == 0.0] = _log_abs(coeffs[:1])[0]  # M_p(f, 0) = |f(0)|
+    todo = np.flatnonzero(radii > 0.0)
+    todo = todo[np.argsort(-radii[todo], kind="stable")]
+    n = np.arange(k * (len(coeffs) - 1) + 1)
+    while len(todo):
+        rows = todo[:max(1, _PARSEVAL_BLOCK // len(n))]
+        rho = radii[rows[0]]
+        b, log_scale, log_err = _power_coeffs(coeffs, k, math.log(rho))
+        log_x = np.maximum(_log_pos(radii[rows] / rho), -_LOG_DBL_MAX)  # r/rho may underflow
+        # powers below e**(_LOG_SUM_MIN - 50) are raised to it: a kept row's sum moves by at
+        # most len(b) e**-50 of itself, and exp never takes its slow subnormal path
+        powers = np.maximum(np.multiply.outer(2.0 * log_x, n), _LOG_SUM_MIN - 50.0)
+        m = 0.5 * _log_pos(np.exp(powers, out=powers) @ (np.abs(b) ** 2))
+        floor = max(0.5 * _LOG_SUM_MIN, log_err + 0.5 * math.log(len(b)) + _PARSEVAL_MARGIN)
+        kept = (m >= floor) | (radii[rows] == rho)
+        out[rows[kept]] = (m[kept] + log_scale) / k
+        todo = np.concatenate([rows[~kept], todo[len(rows):]])
+    return out
 
 
 def _log_mean_inf(coeffs: np.ndarray, radii: np.ndarray,
@@ -295,10 +411,11 @@ def _log_mean_inf(coeffs: np.ndarray, radii: np.ndarray,
 
     The grid has K = _fft_len(max(64, 8*(deg+1))) angles, a 5-smooth count;
     deg is the degree left once _log_circle_means has factored z**m out of
-    f.  np.fft.fft samples g(theta) = sum s_n e^{i n theta} at theta = -k*h,
-    so each row starts at the angle of its largest grid value.  With
-    K >= 8(deg+1) that grid maximum is within _GRID_MAX_LOG_ERR of the true
-    one in the log (Bernstein's inequality on |g|**2), so only rows with
+    f.  It is transformed _INF_BLOCK rows at a time.  np.fft.fft samples
+    g(theta) = sum s_n e^{i n theta} at theta = -k*h, so each row starts at
+    the angle of its largest grid value.  With K >= 8(deg+1) that grid
+    maximum is within _GRID_MAX_LOG_ERR of the true one in the log
+    (Bernstein's inequality on |g|**2), so only rows with
     _GRID_MAX_LOG_ERR * relevance > 10*ABS_TOL are polished; relevance comes
     from _relevance(grid maximum, log_w, q) and is 1 without weights.  Newton
     steps on |g|^2 use g, g' and g'' (coefficients s_n, i n s_n, -n^2 s_n)
@@ -309,9 +426,12 @@ def _log_mean_inf(coeffs: np.ndarray, radii: np.ndarray,
     deg = len(coeffs) - 1
     scaled, L = _scaled_rows(coeffs, radii)
     K = _fft_len(max(64, 8 * (deg + 1)))
-    vals = np.abs(np.fft.fft(scaled, n=K, axis=1))
-    best = np.argmax(vals, axis=1)
-    peak = vals[np.arange(len(radii)), best]
+    best = np.empty(len(radii), dtype=int)
+    peak = np.empty(len(radii))
+    for i in range(0, len(radii), _INF_BLOCK):
+        vals = np.abs(np.fft.fft(scaled[i:i + _INF_BLOCK], n=K, axis=1))
+        best[i:i + _INF_BLOCK] = np.argmax(vals, axis=1)
+        peak[i:i + _INF_BLOCK] = vals[np.arange(len(vals)), best[i:i + _INF_BLOCK]]
     polish = _GRID_MAX_LOG_ERR * _relevance(_log_pos(peak) + L, log_w, q) > ABS_TOL * 10
     h = 2.0 * math.pi / K
     start = -best[polish] * h
@@ -338,7 +458,8 @@ def _log_circle_means(coeffs: np.ndarray, p: float, radii: np.ndarray,
     m*log r + log M_p(h, r): rows at r = 0 are -inf when m > 0.  log_w and q,
     when given, are the radial rule's per-row log-weights and exponent (q =
     inf for a sup); see _relevance.  They move by q*m*log r (m*log r for the
-    sup), so that they weigh the means of h.
+    sup), so that they weigh the means of h.  An even p = 2k takes the
+    Parseval means of h**k (_log_mean_2) while _even_k allows.
     """
     radii = np.asarray(radii, dtype=float)
     nonzero = np.flatnonzero(coeffs)
@@ -346,8 +467,9 @@ def _log_circle_means(coeffs: np.ndarray, p: float, radii: np.ndarray,
     h = coeffs[m:]
     if m and log_w is not None:
         log_w = log_w + (m if q == INF else q * m) * _log_pos(radii)
-    if p == 2.0:
-        out = _log_mean_2(h, radii)
+    k = _even_k(p, len(h))
+    if k:
+        out = _log_mean_2(h, radii, k)
     elif p == INF:
         out = _log_mean_inf(h, radii, log_w, q)
     else:
@@ -359,10 +481,12 @@ def _log_circle_means(coeffs: np.ndarray, p: float, radii: np.ndarray,
 
 
 def circle_mean(f: CoeffFunction, p: float, r: float) -> float:
-    """M_p(f, r).  p = 2 is Parseval-exact, p = inf is a polished maximum."""
+    """M_p(f, r).  Every even p is Parseval-exact on f**(p/2) (up to
+    PARSEVAL_MAX_TERMS), p = inf is a polished maximum."""
     p = _check_exponent(p)
     if r < 0:
         raise ValueError("radius must be >= 0")
+    _check_floor(p)
     return _exp(_log_circle_means(f.coeffs, p, np.array([r]))[0], "circle mean")
 
 
@@ -425,16 +549,55 @@ def _exp(log_value: float, what: str) -> float:
     return float(np.exp(log_value))
 
 
+def _check_floor(*exponents: float) -> None:
+    """DomainError below MIN_EXPONENT, where a q-th root cancels to about eps/q."""
+    if min(exponents) < MIN_EXPONENT:
+        raise DomainError(f"exponent {min(exponents):.3g} is below {MIN_EXPONENT:g}, "
+                          f"where its root loses about eps/{min(exponents):.3g} in the log")
+
+
+def _log_even_norm(coeffs: np.ndarray, k: int, alpha: float) -> float:
+    """log ||f||_{2k,alpha} = log(sum |b_n|**2 n!/(alpha*k)**n)/(2k), b_n the
+    Taylor coefficients of f**k: Parseval on each circle, then the radial
+    integral term by term.  At k = 1 it is the series sum |a_n|**2 n!/alpha**n.
+
+    f**k, of degree N, is formed at the scale rho with alpha*k*rho**2 =
+    N!**(1/N) (_power_coeffs).  An error e in each b_n rho**n moves the root
+    of the sum by at most e*sqrt(sum_n w_n), w_n = n!/(alpha*k*rho**2)**n,
+    and this rho makes w_0 = w_N = max w_n, so a sum led by its top terms is
+    certain at any N.  NaN when the sum is not _PARSEVAL_MARGIN above that
+    bound.
+    """
+    log_alpha_k = math.log(alpha) + math.log(k)
+    if k == 1 or not coeffs.any():
+        return _log_coeff_lp(_log_abs(coeffs), 2.0, log_alpha_k)
+    n = np.arange(k * (len(coeffs) - 1) + 1, dtype=float)
+    log_fact = log_factorials(len(n) - 1)
+    log_x = log_fact[-1] / n[-1] if len(n) > 1 else 0.0
+    log_rho = 0.5 * (log_x - log_alpha_k)
+    b, log_scale, log_err = _power_coeffs(coeffs, k, log_rho)
+    out = _log_coeff_lp(_log_abs(b) + (log_scale - n * log_rho), 2.0, log_alpha_k)
+    slack = 0.5 * logsumexp(log_fact - n * log_x)
+    if not out >= log_err + log_scale + slack + _PARSEVAL_MARGIN:
+        return math.nan
+    return out / k
+
+
 def _log_norm(coeffs: np.ndarray, p: float, q: float, alpha: float, method: str) -> float:
     """log ||f||_{p,q,alpha}, the one place a route is chosen: q = inf is the sup
-    search, p = q = 2 with method "auto" the exact series (sum |a_n|**2 n!/alpha**n)**(1/2),
-    and everything else the q-th root of the radial integral."""
+    search; p = q = 2k with method "auto" the exact Parseval sum of f**k
+    (_log_even_norm) while _even_k allows; everything else, and a sum that
+    underflow leaves uncertain, the q-th root of the radial integral."""
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
+    _check_floor(p, q)
     if q == INF:
         return _log_radial_sup(coeffs, p, alpha)
-    if p == q == 2.0 and method == "auto":
-        return _log_coeff_lp(coeffs, 2.0, alpha)
+    k = _even_k(p, len(coeffs))
+    if p == q and k and method == "auto":
+        out = _log_even_norm(coeffs, k, alpha)
+        if not math.isnan(out):
+            return out
     return _log_radial_integral(coeffs, p, q, alpha) / q
 
 
@@ -476,11 +639,11 @@ def kernel_norm_closed(beta: float, a: complex, p: float, alpha: float) -> float
     return _exp(beta**2 * abs(complex(a)) ** 2 / (2.0 * alpha), "norm")
 
 
-def _log_coeff_lp(coeffs: np.ndarray, p: float, alpha: float, gamma: float = 0.0) -> float:
-    """log of the l_p norm of the sequence a_n * sqrt(n!/alpha^n) * (n+1)**gamma."""
-    la = _log_abs(coeffs)
-    n = np.arange(len(coeffs), dtype=float)
-    logw = (la + 0.5 * (log_factorials(len(coeffs) - 1) - n * math.log(alpha))
+def _log_coeff_lp(la: np.ndarray, p: float, log_alpha: float, gamma: float = 0.0) -> float:
+    """log of the l_p norm of the sequence a_n * sqrt(n!/alpha^n) * (n+1)**gamma,
+    from la_n = log|a_n|."""
+    n = np.arange(len(la), dtype=float)
+    logw = (la + 0.5 * (log_factorials(len(la) - 1) - n * log_alpha)
             + gamma * np.log(n + 1.0))
     finite = np.isfinite(logw)
     if not finite.any():
@@ -494,4 +657,4 @@ def coeff_weighted_lp(f: CoeffFunction, p: float, alpha: float,
                       gamma: float = 0.0) -> float:
     """l_p norm of the sequence a_n * sqrt(n!/alpha^n) * (n+1)**gamma."""
     p, alpha = _check_exponent(p), _check_alpha(alpha)
-    return _exp(_log_coeff_lp(f.coeffs, p, alpha, gamma), "weighted l_p norm")
+    return _exp(_log_coeff_lp(_log_abs(f.coeffs), p, math.log(alpha), gamma), "weighted l_p norm")

@@ -402,7 +402,10 @@ class PowerTailDensity(MeasureSpec):
             raise DivergentMoment(
                 f"integral t**({exponent - self.a - 1:g}) over (1,inf) diverges"
             )
-        return 1.0 / (self.a - exponent), CLOSED_FORM
+        mass = 1.0 / (self.a - exponent)
+        if math.isinf(mass):  # e.g. mu_0 = 1/a for a tiny a: it converges
+            raise DomainError(f"power-tail integral 1/(a - {exponent:g}) lies past double range")
+        return mass, CLOSED_FORM
 
     def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
         return -np.log(np.arange(n_min, n_max + 1.0) + self.a)

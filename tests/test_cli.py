@@ -190,6 +190,10 @@ def test_bad_alpha_is_a_usage_error(argv, capsys):
     ["--p", "4", "--alpha", "1e-300"],  # the radial integral
     ["--p", "4", "--q", "inf", "--alpha", "1e-300"],  # the sup of the mixed norm
     ["--p", "inf", "--alpha", "1e-300"],  # the sup
+    # radial rules of 1.4e7 and 4e152 nodes: 1e9 asked numpy for 13.4 GiB, 1e300 ran for minutes
+    ["--p", "1e9"],
+    ["--p", "1e300"],
+    ["--p", "1e-300"],  # printed 1: the root of the integral was lost to rounding
 ])
 def test_norm_past_double_range_is_a_precondition_failure(flags, capsys):
     # ||u_3|| is about e**1036 at alpha = 1e-300: these printed inf after a RuntimeWarning
@@ -214,6 +218,8 @@ def test_kernel_past_the_truncation_cap_is_a_precondition_failure(capsys):
 # -- the norm command under generated inputs ---------------------------------------------
 
 _EXPONENTS = st.one_of(st.floats(0.1, 10.0, exclude_min=True, exclude_max=True),
+                       st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+                       st.integers(1, 200).map(lambda k: 2.0 * k),
                        st.just(math.inf))
 _ENTRIES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e300, -1e300]),
                      st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))

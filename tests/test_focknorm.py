@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln, hyp2f1
 
-from fockhaus import entire, focknorm
+from fockhaus import entire, focknorm, harness
 from fockhaus.focknorm import (
     INF,
     FockParams,
@@ -213,7 +213,7 @@ class TestSupMaximiser:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for f in funcs:
-                for p in (0.5, 1.0, 2.0, 3.0, INF):
+                for p in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, INF):
                     focknorm._log_circle_means(f.coeffs, p, radii)
                     for r in radii:
                         circle_mean(f, p, r)
@@ -300,7 +300,7 @@ class TestNestedRefinement:
             assert capped > 0  # the Aitken rows are exercised too
 
     @pytest.mark.parametrize("p", [4, 6, 8])
-    def test_even_p_is_one_exact_level(self, p, fft_work):
+    def test_even_p_takes_no_fft(self, p, fft_work):
         rng = np.random.default_rng(29)
         for degree in (3, 12, 30):
             f = rand_poly(rng, degree)
@@ -313,9 +313,11 @@ class TestNestedRefinement:
                 [np.sum(np.abs(power) ** 2 * r ** (2.0 * np.arange(len(power)))) for r in radii]
             )
             fft_work.clear()
-            got = focknorm._log_mean_p(f.coeffs, float(p), radii)
-            assert len(fft_work) == 1
+            got = focknorm._log_circle_means(f.coeffs, float(p), radii)
+            assert not fft_work
             np.testing.assert_allclose(got, np.log(parseval) / p, rtol=0, atol=1e-13)
+            fft_mean = focknorm._log_mean_p(f.coeffs, float(p), radii)
+            np.testing.assert_allclose(fft_mean, got, rtol=0, atol=1e-13)
 
     def test_midpoints_halve_the_transform_work(self, fft_work):
         f = entire.kernel(2.0, 5.0)
@@ -535,6 +537,65 @@ class TestWeightedStops:
         assert focknorm._log_radial_sup(coeffs, INF, 1.0) == got
 
 
+class TestEvenParseval:
+    """p = 2k: the Parseval sum of f**k, with the radial rule as its oracle."""
+
+    @pytest.mark.parametrize("p", [4.0, 6.0])
+    def test_closed_form_matches_the_radial_rule(self, p):
+        rng = np.random.default_rng(53)
+        k = int(p) // 2
+        worst = 0.0
+        for f in harness.build_corpus(42):
+            for flip in range(4):
+                signs = rng.choice([-1.0, 1.0], len(f.coeffs)) if flip else 1.0
+                coeffs = f.coeffs * signs
+                exact = focknorm._log_norm(coeffs, p, p, 1.0, "auto")
+                worst = max(worst, abs(exact - focknorm._log_norm(coeffs, p, p, 1.0, "quadrature")))
+                # the same sum from f**k formed at a second scale, rho = 1
+                b, log_scale, _ = focknorm._power_coeffs(coeffs, k, 0.0)
+                n = np.arange(len(b))
+                terms = 2.0 * (focknorm._log_abs(b) + log_scale) + gammaln(n + 1) - n * math.log(k)
+                second = focknorm.logsumexp(terms[np.isfinite(terms)]) / p
+                assert abs(second - exact) <= 1e-13
+        assert worst <= 1e-13
+
+    def test_even_norms_build_no_radial_rule(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a radial rule was built")
+
+        monkeypatch.setattr(focknorm, "_gl_panels", refuse)
+        k = entire.kernel(2.0, 5.0, radius=12.0)  # degree 213, norm e**50 at every p
+        for p in (2.0, 4.0, 6.0, 8.0):
+            assert math.log(fock_norm(k, p, 1.0)) == pytest.approx(50.0, rel=1e-14)
+        for n, p in ((190, 4.0), (40, 6.0), (40, 8.0)):
+            got = math.log(fock_norm(entire.monomial(n), p, 1.0))
+            assert got == pytest.approx(log_monomial_norm(n, p, 1.0), rel=1e-15)
+
+    def test_rounds_reach_radii_far_below_the_largest(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        coeffs = rand_poly(rng, 213).coeffs
+        radii = np.concatenate([[0.0], np.geomspace(1e-3, 22.5, 80)])
+        rounds = []
+        inner = focknorm._power_coeffs
+        monkeypatch.setattr(focknorm, "_power_coeffs", lambda *a: rounds.append(a[2]) or inner(*a))
+        got = focknorm._log_circle_means(coeffs, 4.0, radii)
+        assert len(rounds) > 1 and np.isfinite(got).all()
+        want = focknorm._log_mean_p(coeffs, 4.0, radii)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-13)
+
+    def test_an_uncertain_sum_takes_the_radial_rule(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        coeffs = rand_poly(rng, 30).coeffs
+        radii = np.linspace(0.1, 6.0, 25)
+        want = focknorm._log_mean_2(coeffs, radii, 2)
+        monkeypatch.setattr(focknorm, "_PARSEVAL_MARGIN", INF)
+        # one round per row, each kept at its own scale
+        np.testing.assert_allclose(focknorm._log_mean_2(coeffs, radii, 2), want, rtol=0, atol=1e-14)
+        assert math.isnan(focknorm._log_even_norm(coeffs, 2, 1.0))
+        assert (focknorm._log_norm(coeffs, 4.0, 4.0, 1.0, "auto")
+                == focknorm._log_norm(coeffs, 4.0, 4.0, 1.0, "quadrature"))
+
+
 class TestKernelNormClosed:
     def test_center_zero(self):
         assert kernel_norm_closed(1.0, 0.0, 2.0, 1.0) == 1.0
@@ -658,11 +719,44 @@ class TestValidation:
         with pytest.raises(ValueError, match="cutoff"):
             fock_norm(entire.monomial(3), 1.0, alpha)
 
+    @pytest.mark.parametrize("p", [1e-2, 1e-3, 1e-4, focknorm.MIN_EXPONENT])
+    def test_small_exponents_keep_the_closed_form(self, p):
+        got = math.log(fock_norm(entire.monomial(3), p, 1.0))
+        assert abs(got - log_monomial_norm(3, p, 1.0)) <= 2e-10
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-8, 1e-12, 1e-20, 1e-300])
+    def test_exponents_below_the_floor_are_refused(self, p):
+        # the q-th root cancelled: off by 2.3e-7 in the log at 1e-8, exactly 1 at 1e-20
+        f = entire.monomial(3)
+        for call in (lambda: fock_norm(f, p, 1.0), lambda: mixed_norm(f, FockParams(1.0, p, 1.0)),
+                     lambda: mixed_norm(f, FockParams(p, INF, 1.0)), lambda: circle_mean(f, p, 1.0)):
+            with pytest.raises(DomainError, match="below"):
+                call()
+
+    @pytest.mark.parametrize("p", [1e9, 1e300, 1e5 + 0.5])
+    def test_a_radial_rule_past_the_node_cap_is_refused(self, p):
+        # 1e9 asked numpy for 13.4 GiB, 1e300 ran for minutes
+        with pytest.raises(DomainError, match="nodes"):
+            fock_norm(entire.monomial(3), p, 1.0)
+
+    def test_huge_p_means_stay_below_the_maximum(self):
+        # M_p(e**z, r) = e**r (I_0(p r) e**(-p r))**(1/p) <= e**r, so the (p, inf) norm
+        # lies in [e**0.5 (2 pi p)**(-1/p), e**0.5]; Aitken on the log(2)/p steps between
+        # angle levels took p = 1e9 to 1.00216 e**0.5
+        k = entire.kernel(1.0, 1.0, radius=12.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (1e3, 1e3 + 0.5, 1e9, 1e300):
+                got = math.log(mixed_norm(k, FockParams(p, INF, 1.0)))
+                assert 0.5 - math.log(2.0 * math.pi * p) / p - 1e-12 <= got <= 0.5 + 1e-12, p
+
     def test_zero_function_norms(self):
         z = entire.CoeffFunction([0.0])
         assert fock_norm(z, 2.0, 1.0) == 0.0
         assert fock_norm(z, 1.0, 1.0, method="quadrature") == 0.0
         assert fock_norm(z, INF, 1.0) == 0.0
+        for p in (4.0, 6.0):  # the zero function's Parseval sum has no scale: its log is -inf
+            assert fock_norm(z, p, 1.0) == fock_norm(z, p, 1.0, method="quadrature") == 0.0
 
     @pytest.mark.parametrize("call", [
         lambda: fock_norm(entire.monomial(3), 4.0, 1e-300),  # ||u_3|| is about e**1036

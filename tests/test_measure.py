@@ -58,6 +58,12 @@ class TestMoments:
         m = msr.Scaled(3.0, msr.hardy_measure())
         assert msr.moment(m, 1) == pytest.approx(1.5, rel=1e-14)
 
+    def test_tiny_power_tail_exponent_converges_past_double_range(self):
+        # mu_0 = 1/a = 1e320 converges; it was reported as a DivergentMoment
+        with pytest.raises(msr.DomainError, match="double range"):
+            msr.PowerTailDensity(1e-320)
+        assert msr.PowerTailDensity(1e-300).mu0 == pytest.approx(1e300, rel=1e-15)
+
 
 class TestBetaMoment:
     def test_unit_case(self):
