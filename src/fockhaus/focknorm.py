@@ -17,8 +17,8 @@ Every even p = 2k is a Parseval route: M_2k(f, r)**2k = sum |b_n|**2 r**(2n)
 with b_n the Taylor coefficients of f**k, so ||f||_{2k,alpha}**2k =
 sum |b_n|**2 n!/(alpha*k)**n exactly.  fock_norm at p = 2k takes that sum
 and builds no radial rule; the mixed (2k, q) and (2k, inf) norms take the
-Parseval means.  f**k comes from k - 1 convolutions while it has at most
-PARSEVAL_MAX_TERMS terms; past that, p = 2k takes the FFT means below.
+Parseval means.  For k > 1, f**k comes from k - 1 convolutions while it has
+at most PARSEVAL_MAX_TERMS terms; past that, p = 2k takes the FFT means below.
 method="quadrature" keeps the radial rule at every p, so the rule has an
 exact oracle at every even p.
 
@@ -30,7 +30,7 @@ large prime factor such as 764 = 4*191.
 
 Exponents below MIN_EXPONENT are refused (DomainError): there the q-th root
 of a mean or of the radial integral cancels to about eps/q.  So is a radial
-rule of more than MAX_RADIAL_NODES nodes, which a huge q would need.
+rule past MAX_RULE_CELLS, which a huge q would need.
 
 A radial rule tells the circle means how much each radius counts: the
 integral passes its log-weights log r + log w_i - alpha*q*r^2/2 with q, the
@@ -77,7 +77,9 @@ SUP_GRID = 512  # radii of the radial sup's first grid
 _ANGLE_EVALS = 4  # per p = inf circle maximum: the grid angle, then 3 Newton steps
 _SUP_ROUNDS = 6  # bracket rounds of the radial sup, each 8-fold narrower
 _INF_BLOCK = 64  # rows per FFT block of the p = inf grid, which bounds its memory
-MAX_RADIAL_NODES = 16384  # a radial rule past this many nodes is refused
+# a radial rule whose circle means would transform more values than this (nodes times
+# first-level angles) is refused: 4.3 times the most any test or benchmark run asks for
+MAX_RULE_CELLS = 1 << 23
 # down to here fock_norm(z**3, p) keeps its log within 1.5e-10 of the closed form, as at
 # p = 1e-2; at p = 1e-6 it is off by 1e-9, at 1e-8 by 2.3e-7
 MIN_EXPONENT = 1e-5
@@ -136,12 +138,8 @@ def _gl_panels(R: float, width: float, order: int):
     """Graded composite Gauss-Legendre nodes/weights on [0, R].
 
     Three geometrically shrinking starter panels absorb the fractional-power
-    behaviour of r**(np+1) at the origin.  A rule of more than
-    MAX_RADIAL_NODES nodes raises DomainError before anything is built.
+    behaviour of r**(np+1) at the origin.
     """
-    nodes = order * (R / width + 4.0) if width > 0.0 else INF  # width 0: alpha*q overflowed
-    if not nodes <= MAX_RADIAL_NODES:
-        raise DomainError(f"the radial rule needs {nodes:.3g} nodes, more than {MAX_RADIAL_NODES}")
     edges = [0.0]
     for frac in (1.0 / 64.0, 1.0 / 16.0, 1.0 / 4.0):
         e = width * frac
@@ -270,10 +268,13 @@ def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
 
     |g| <= deg + 1 on the scaled rows, so |g|**p stays in range unless p is
     large.  Past that, each row sums (|g|/top)**p, with top its largest |g|
-    so far, and rescales its running sum whenever top rises.  There |g|**p
-    is led by its largest nodes and a level moves the mean by about
-    log(2)/p, not by the K**-s error Aitken removes, so rows at the cap keep
-    their last level.
+    so far (>= 1), and rescales its running sum whenever top rises.  That
+    costs a max and a division pass per level: taken at every p it slowed
+    the radial integrals of degree-213 functions by 9 %, so smaller p keep
+    the plain sum (top = 1).  A row whose last level moved its mean by
+    log(2)/(2p) or more is led by its largest nodes: each doubling halves
+    the mean of a sum that barely grows.  That is not the K**-s error Aitken
+    removes, so such a row keeps its last level at the cap.
     """
     deg = len(coeffs) - 1
     scaled, L = _scaled_rows(coeffs, radii)
@@ -284,15 +285,14 @@ def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
     sums = np.zeros(len(radii))
 
     def add_powers(block: np.ndarray, rows, k: int) -> np.ndarray:
-        """Adds sum (|g|/top)**p over the k-point FFT of block to sums[rows]; returns |g|."""
+        """Adds sum (|g|/top)**p over the k-point FFT of block to sums[rows]; returns |g|/top."""
         vals = np.abs(np.fft.fft(block, n=k, axis=1))
-        if not rescale:
-            sums[rows] += np.sum(vals ** p, axis=1)
-            return vals
-        new_top = np.maximum(top[rows], vals.max(axis=1))
-        sums[rows] *= (top[rows] / new_top) ** p
-        top[rows] = new_top
-        sums[rows] += np.sum((vals / new_top[:, None]) ** p, axis=1)
+        if rescale:
+            new_top = np.maximum(top[rows], vals.max(axis=1))
+            sums[rows] *= (top[rows] / new_top) ** p
+            top[rows] = new_top
+            vals /= new_top[:, None]
+        sums[rows] += np.sum(vals ** p, axis=1)
         return vals
 
     add_powers(scaled, slice(None), K)
@@ -305,7 +305,7 @@ def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
     while active.any() and K < MAX_ANGLE_NODES:
         midpoints = scaled[active] * np.exp(-1j * math.pi * n / K)
         vals = add_powers(midpoints, active, K)
-        noisy = np.count_nonzero(vals <= noise[active, None], axis=1) / K
+        noisy = np.count_nonzero(vals <= (noise[active] / top[active])[:, None], axis=1) / K
         K *= 2
         cur = _log_pos(sums[active] / K) / p + np.log(top[active]) + L[active]
         hist = [h.copy() for h in hist[1:]] + [hist[-1].copy()]
@@ -317,25 +317,26 @@ def _log_mean_p(coeffs: np.ndarray, p: float, radii: np.ndarray,
             diff = np.abs(hist[-1] - hist[-2])
         diff[~np.isfinite(diff)] = 0.0
         active &= (diff * relevance > ABS_TOL * 10) & (diff > 2.0 * floor)
-    if active.any() and not rescale:
+    if active.any():
         # cap reached on rows with algebraically converging means (a zero of f
         # near the circle): Aitken-extrapolate the last three levels
         m1, m2, m3 = (h[active] for h in hist)
         with np.errstate(invalid="ignore", divide="ignore"):
             denom = m3 - 2.0 * m2 + m1
             corr = np.where(np.abs(denom) > 1e-300, (m3 - m2) ** 2 / denom, 0.0)
-        corr[~np.isfinite(corr)] = 0.0
+        corr[~np.isfinite(corr) | (np.abs(m3 - m2) >= math.log(2.0) / (2.0 * p))] = 0.0
         out[active] = m3 - corr
     return out
 
 
 def _even_k(p: float, n_terms: int) -> int:
-    """k when p = 2k and f**k, f with n_terms coefficients, has at most
+    """k when p = 2k and Parseval serves it: always at k = 1, which convolves
+    nothing, and for k > 1 while f**k, f with n_terms coefficients, has at most
     PARSEVAL_MAX_TERMS of them; 0 otherwise."""
     if p == INF or p % 2.0:
         return 0
     k = int(p) // 2
-    return k if k * n_terms <= PARSEVAL_MAX_TERMS else 0
+    return k if k == 1 or k * n_terms <= PARSEVAL_MAX_TERMS else 0
 
 
 def _power_coeffs(coeffs: np.ndarray, k: int, log_rho: float):
@@ -481,8 +482,8 @@ def _log_circle_means(coeffs: np.ndarray, p: float, radii: np.ndarray,
 
 
 def circle_mean(f: CoeffFunction, p: float, r: float) -> float:
-    """M_p(f, r).  Every even p is Parseval-exact on f**(p/2) (up to
-    PARSEVAL_MAX_TERMS), p = inf is a polished maximum."""
+    """M_p(f, r).  Every even p is Parseval-exact on f**(p/2) (see _even_k),
+    p = inf is a polished maximum."""
     p = _check_exponent(p)
     if r < 0:
         raise ValueError("radius must be >= 0")
@@ -524,10 +525,20 @@ def _log_radial_integral(coeffs: np.ndarray, p: float, q: float, alpha: float) -
     refines only while it can still move the result: the error the means add
     to the log of the integral's q-th root is at most 2*10*ABS_TOL, plus
     what the FFT's rounding floor leaves (see _log_mean_p).
+
+    The panel width shrinks like 1/sqrt(q), so a huge q would build a rule
+    without bound: one whose nodes times the first-level angles of the means
+    of h (f = z**m h) pass MAX_RULE_CELLS raises DomainError before it is built.
     """
     deg = len(coeffs) - 1
     R = radial_cutoff(deg, min(p, q), alpha)
     width = min(0.5 / math.sqrt(alpha * q), R / 16.0)
+    nodes = GL_ORDER * (R / width + 4.0) if width > 0.0 else INF  # width 0: alpha*q overflowed
+    nonzero = np.flatnonzero(coeffs)
+    angles = _fft_len(max(MIN_ANGLE_NODES, 4 * (len(coeffs) - int(nonzero[0] if len(nonzero) else 0))))
+    if not nodes * angles <= MAX_RULE_CELLS:
+        raise DomainError(f"the radial rule needs {nodes:.3g} nodes of {angles} angles, "
+                          f"more than {MAX_RULE_CELLS} values")
     nodes, weights = _gl_panels(R, width, GL_ORDER)
     log_w = np.log(nodes) + np.log(weights) - alpha * q * nodes**2 / 2.0
     log_m = _log_circle_means(coeffs, p, nodes, log_w, q)

@@ -570,6 +570,10 @@ class TestEvenParseval:
         for n, p in ((190, 4.0), (40, 6.0), (40, 8.0)):
             got = math.log(fock_norm(entire.monomial(n), p, 1.0))
             assert got == pytest.approx(log_monomial_norm(n, p, 1.0), rel=1e-15)
+        # p = 2 convolves nothing, so no length cap applies: this rule would need 16 730
+        # nodes.  The norm, e**89036, is past double range, so its log is compared
+        got = focknorm._log_norm(entire.monomial(30000).coeffs, 2.0, 2.0, 1.0, "auto")
+        assert got == pytest.approx(log_monomial_norm(30000, 2.0, 1.0), rel=1e-15)
 
     def test_rounds_reach_radii_far_below_the_largest(self, monkeypatch):
         rng = np.random.default_rng(59)
@@ -735,9 +739,17 @@ class TestValidation:
 
     @pytest.mark.parametrize("p", [1e9, 1e300, 1e5 + 0.5])
     def test_a_radial_rule_past_the_node_cap_is_refused(self, p):
-        # 1e9 asked numpy for 13.4 GiB, 1e300 ran for minutes
+        # 1e9 asked numpy for 13.4 GiB, 1e300 ran for minutes; 1e5 + 0.5 needs 1.4e5
+        # nodes of 64 angles, 9.0e6 values
         with pytest.raises(DomainError, match="nodes"):
             fock_norm(entire.monomial(3), p, 1.0)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_high_degree_monomials_keep_the_closed_form(self, p):
+        # 1.7e4 and 1.9e4 nodes, but of 64 angles each once z**20000 is factored out.  The
+        # norm is past double range, so its log is compared
+        got = focknorm._log_norm(entire.monomial(20000).coeffs, p, p, 1.0, "auto")
+        assert got == pytest.approx(log_monomial_norm(20000, p, 1.0), rel=1e-14)
 
     def test_huge_p_means_stay_below_the_maximum(self):
         # M_p(e**z, r) = e**r (I_0(p r) e**(-p r))**(1/p) <= e**r, so the (p, inf) norm
