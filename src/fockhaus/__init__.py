@@ -42,7 +42,6 @@ from .measure import (
     Scaled,
     SupportReport,
     ZeroMeasure,
-    beta_moment,
     dirac,
     geometric_atoms,
     hardy_measure,

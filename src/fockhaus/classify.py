@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .entire import _check_alpha
-from .focknorm import INF, _check_exponent
+from .focknorm import _LOG_DBL_MAX, INF, _check_exponent
 from .measure import (
     DivergentMoment,
     MeasureSpec,
@@ -60,8 +60,6 @@ class SeriesVerdict:
 
     series_id: str
     kind: str  # "series" | "sup" | "mass"
-    power: float
-    weight_exponent: float
     n_terms: int
     partial: float  # partial sum, or prefix max for sup conditions
     tail_bound: float | None
@@ -114,13 +112,13 @@ def _horizon(m: MeasureSpec, uncapped: int) -> int:
 def _scan(m: MeasureSpec, power: float, w: float, horizon: int, accumulate, stop):
     """Accumulate mu_n**power (n+1)**w over n = 0..horizon, one chunk of the measure's
     log-moments at a time: (value, n) at the first n where stop(terms, values) holds,
-    else (value, horizon).  A term past double range is inf, without a warning."""
+    else (value, horizon).  A term or sum past double range is inf, without a warning."""
     value, n = 0.0, 0
     while n <= horizon:
         log_mu = m.log_moments(n)[n : horizon + 1]
         with np.errstate(over="ignore"):
             terms = np.exp(power * log_mu + w * np.log(np.arange(n, n + len(log_mu)) + 1.0))
-        values = accumulate(np.append(value, terms))[1:]  # left to right, as a loop would
+            values = accumulate(np.append(value, terms))[1:]  # left to right, as a loop would
         hit = np.flatnonzero(stop(terms, values))
         if hit.size:
             return float(values[hit[0]]), n + int(hit[0])
@@ -128,21 +126,32 @@ def _scan(m: MeasureSpec, power: float, w: float, horizon: int, accumulate, stop
     return value, horizon
 
 
+def _exp(log_x: float) -> float:
+    """e**log_x, inf past double range without a warning: how a tail bound leaves logs."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_x))
+
+
 def _geometric_tail(log_C: float, log_rho: float, v: float, N: int) -> float | None:
     """Bound on sum_{n>N} C * rho**n * (n+1)**v for rho < 1, from log C and log rho.
 
-    Logs keep C and rho usable where C**power or rho**power leaves double range.
+    Past N successive terms shrink at least by rho * e**(max(v, 0)/(N+2)) < 1.
     """
-    grow = math.exp(log_rho) * math.exp(max(v, 0.0) / (N + 2.0))
-    if grow >= 1.0:
+    log_grow = log_rho + max(v, 0.0) / (N + 2.0)
+    if log_grow >= 0.0:
         return None
-    log_tail = log_C + (N + 1.0) * log_rho + v * math.log(N + 2.0)
-    return math.exp(log_tail) * (1.0 / (1.0 - grow))
+    return _exp(log_C + (N + 1.0) * log_rho + v * math.log(N + 2.0)
+                - math.log(-math.expm1(log_grow)))
 
 
-def _power_tail(C: float, v: float, N: int) -> float:
-    """Bound on sum_{n>N} C * (n+1)**v for v < -1 via the integral test."""
-    return C * (N + 1.0) ** (v + 1.0) / (-v - 1.0)
+def _power_tail(log_C: float, v: float, N: int) -> float:
+    """Bound C (N+1)**(v+1) / (-v-1) on sum_{n>N} C * (n+1)**v for v < -1 (integral test).
+
+    C = e**log_C enters in logs where it passes double range, and as a number otherwise.
+    """
+    if log_C > _LOG_DBL_MAX:
+        return _exp(log_C + (v + 1.0) * math.log(N + 1.0) - math.log(-v - 1.0))
+    return math.exp(log_C) * (N + 1.0) ** (v + 1.0) / (-v - 1.0)
 
 
 def series_verdict(
@@ -164,13 +173,13 @@ def series_verdict(
         log_rho = power * math.log(up.ratio)
         v = weight_exponent - up.power * power
         if log_rho < 0.0:
-            tail = _geometric_tail(power * math.log(up.const), log_rho, v, horizon)
+            tail = _geometric_tail(power * up.log_const, log_rho, v, horizon)
             if tail is not None:
                 outcome = "converges"
                 witness = f"geometric envelope ratio {up.ratio:g}"
         elif up.ratio == 1.0 and v < -1.0:
             outcome = "converges"
-            tail = _power_tail(up.const**power, v, horizon)
+            tail = _power_tail(power * up.log_const, v, horizon)
             witness = f"power envelope (n+1)^{v:g}"
     if outcome == "unknown" and lo is not None:
         v = weight_exponent - lo.power * power
@@ -190,8 +199,6 @@ def series_verdict(
     return SeriesVerdict(
         series_id=f"series[mu^{power:g}*(n+1)^{weight_exponent:g}]",
         kind="series",
-        power=power,
-        weight_exponent=weight_exponent,
         n_terms=used,
         partial=partial,
         tail_bound=tail,
@@ -208,16 +215,16 @@ def sup_verdict(m: MeasureSpec, weight_exponent: float = 0.0) -> SeriesVerdict:
     if up is not None:
         v = weight_exponent - up.power
         if up.ratio < 1.0:
-            # envelope C rho^n (n+1)^v decreases past n* = v / (-log rho)
-            n_star = max(0, int(math.ceil(v / (-math.log(up.ratio)))) if v > 0 else 0)
-            horizon = max(horizon, n_star + 1)
-            tail_sup = up.const * up.ratio**horizon * (horizon + 1.0) ** v
+            # the envelope C rho^n (n+1)^v decreases past its peak at n + 1 = v / -log rho,
+            # so past the horizon it is at most its value at the horizon or at that peak
+            log_rho = math.log(up.ratio)
+            n = max(horizon, v / -log_rho - 1.0)
+            bound = _exp(up.log_const + n * log_rho + v * math.log(n + 1.0))
             outcome = "bounded"
             witness = f"geometric envelope ratio {up.ratio:g}"
-            bound = tail_sup
         elif up.ratio == 1.0 and v <= 0.0:
             outcome = "bounded"
-            bound = up.const
+            bound = _exp(up.log_const)
             witness = f"power envelope (n+1)^{v:g}"
     if outcome == "unknown" and lo is not None:
         v = weight_exponent - lo.power
@@ -225,7 +232,7 @@ def sup_verdict(m: MeasureSpec, weight_exponent: float = 0.0) -> SeriesVerdict:
             outcome = "unbounded"
             witness = "terms grow without bound under the lower envelope"
 
-    # a bounded scan runs to its horizon, or the reported bound would be no bound
+    # a bounded scan runs to its horizon, where the envelope takes over
     prefix, horizon = _scan(m, 1.0, weight_exponent, horizon, np.maximum.accumulate,
                             lambda t, s: (s > DIVERGENCE_CUTOFF) & (outcome == "unbounded"))
     if bound is not None:
@@ -233,8 +240,6 @@ def sup_verdict(m: MeasureSpec, weight_exponent: float = 0.0) -> SeriesVerdict:
     return SeriesVerdict(
         series_id=f"sup[mu*(n+1)^{weight_exponent:g}]",
         kind="sup",
-        power=1.0,
-        weight_exponent=weight_exponent,
         n_terms=horizon,
         partial=prefix,
         tail_bound=bound,
@@ -496,7 +501,7 @@ def _condition(m: MeasureSpec, cid: str, cond, p, q) -> SeriesVerdict:
         integral = math.inf
     ok = math.isfinite(integral)
     return SeriesVerdict(
-        f"{cid}/source-power-mass", "mass", 1.0, w, 0, integral, None,
+        f"{cid}/source-power-mass", "mass", 0, integral, None,
         "converges" if ok else "diverges",
         None if ok else "integral of t^(2/q - 1) against the measure diverges",
     )

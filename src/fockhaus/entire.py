@@ -178,42 +178,36 @@ def _exp_coeffs(scale: float, theta: float, n_deg: int) -> np.ndarray:
     return mags * np.exp(-1j * theta * np.arange(n_deg + 1))
 
 
-def kernel(
-    beta: float,
-    a: complex,
-    n_max: int | None = None,
-    radius: float = 8.0,
-    rel_tol: float = 1e-14,
-) -> CoeffFunction:
+def kernel(beta: float, a: complex, n_max: int | None = None,
+           radius: float = 8.0) -> CoeffFunction:
     """Truncated expansion of exp(beta * z * conj(a)).
 
-    The truncation degree keeps the dropped tail below rel_tol relative to
-    the peak value on |z| <= radius.  With n_max given, that degree is used
-    after checking it meets the bound; degrees beyond 500 are refused.
+    The truncation degree keeps the dropped tail below 1e-14 relative to the
+    peak value on |z| <= radius.  With n_max given, that degree is used after
+    checking it meets the bound; degrees beyond 500 are refused.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     a = complex(a)
     x = beta * abs(a) * radius
-    n_max = _exp_series_degree(x, rel_tol, 500, n_max)
+    n_max = _exp_series_degree(x, 1e-14, 500, n_max)
     if a == 0:
         return CoeffFunction([1.0], label=f"K_{beta:g}(.,0)")
     coeffs = _exp_coeffs(beta * abs(a), cmath.phase(a), n_max)
     return CoeffFunction(coeffs, label=f"K_{beta:g}(.,{a!r})")
 
 
-def gaussian_peak(n: int, alpha: float, n_max: int | None = None,
-                  rel_tol: float = 1e-12) -> CoeffFunction:
+def gaussian_peak(n: int, alpha: float) -> CoeffFunction:
     """Truncated expansion of exp(n*z - n**2/(2*alpha)).
 
-    Normalized so its weighted sup norm is 1; tail below rel_tol relative on
+    Normalized so its weighted sup norm is 1; tail below 1e-12 relative on
     |z| <= 2n/alpha.
     """
     if n < 1:
         raise ValueError("peak index must be >= 1")
     alpha = _check_alpha(alpha)
     x = n * (2.0 * n / alpha)
-    n_max = _exp_series_degree(x, rel_tol, 2000, n_max)
+    n_max = _exp_series_degree(x, 1e-12, 2000, None)
     coeffs = _exp_coeffs(float(n), 0.0, n_max)
     coeffs = coeffs * math.exp(-(n**2) / (2.0 * alpha))
     return CoeffFunction(coeffs, label=f"peak_{n}")

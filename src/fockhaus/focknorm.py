@@ -47,7 +47,6 @@ relevance 1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -73,6 +72,7 @@ _NOISE = 8.0 * np.finfo(float).eps / 2.0
 _GRID_MAX_LOG_ERR = 0.1
 _SUP_NATS = 1.0  # a sup row this far below the largest weighted mean cannot win
 GL_ORDER = 24  # Gauss-Legendre nodes per radial panel
+_GL_NODES, _GL_WEIGHTS = leggauss(GL_ORDER)
 SUP_GRID = 512  # radii of the radial sup's first grid
 _ANGLE_EVALS = 4  # per p = inf circle maximum: the grid angle, then 3 Newton steps
 _SUP_ROUNDS = 6  # bracket rounds of the radial sup, each 8-fold narrower
@@ -126,16 +126,8 @@ def radial_cutoff(degree: int, p_min: float, alpha: float) -> float:
     return R
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """leggauss(order), computed once per order and shared read-only."""
-    x, w = leggauss(order)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _gl_panels(R: float, width: float, order: int):
-    """Graded composite Gauss-Legendre nodes/weights on [0, R].
+def _gl_panels(R: float, width: float):
+    """Graded composite Gauss-Legendre nodes/weights on [0, R], GL_ORDER per panel.
 
     Three geometrically shrinking starter panels absorb the fractional-power
     behaviour of r**(np+1) at the origin.
@@ -148,11 +140,10 @@ def _gl_panels(R: float, width: float, order: int):
     while edges[-1] < R:
         edges.append(min(edges[-1] + width, R))
     edges = np.asarray(edges)
-    x, w = _gauss_legendre(order)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
 
 
@@ -539,7 +530,7 @@ def _log_radial_integral(coeffs: np.ndarray, p: float, q: float, alpha: float) -
     if not nodes * angles <= MAX_RULE_CELLS:
         raise DomainError(f"the radial rule needs {nodes:.3g} nodes of {angles} angles, "
                           f"more than {MAX_RULE_CELLS} values")
-    nodes, weights = _gl_panels(R, width, GL_ORDER)
+    nodes, weights = _gl_panels(R, width)
     log_w = np.log(nodes) + np.log(weights) - alpha * q * nodes**2 / 2.0
     log_m = _log_circle_means(coeffs, p, nodes, log_w, q)
     with np.errstate(divide="ignore"):

@@ -79,7 +79,8 @@ def apply_quadrature(op: HausdorffOperator, f: CoeffFunction, z_samples) -> np.n
     summed exactly, the tails and densities go through Gauss rules whose panels
     bisect until two rules agree on the modulus of every value, a Mellin product
     evaluates its grid of nodes in one call, and an integral that does not
-    converge raises DivergentMoment.  This is the oracle for apply_spectral.
+    converge raises DivergentMoment (DomainError where no rule carries a tail's
+    endpoint power).  This is the oracle for apply_spectral.
     """
     _image_log_moments(op, f)
     zs = np.atleast_1d(np.asarray(z_samples, dtype=complex))
@@ -93,12 +94,11 @@ class DilationBounds:
 
     The true norm sits between lower and upper up to multiplicative
     constants the theory leaves undetermined; both are reported with the
-    constants set to 1 and flagged as such.
+    constants set to 1.
     """
 
     lower: float
     upper: float
-    constants_undetermined: bool = True
 
 
 def dilation_opnorm_bounds(t: float, p: float, q: float) -> DilationBounds:

@@ -9,12 +9,13 @@ are computed in closed form where the family admits one and by quadrature
 otherwise, with numpy alone.  The quadrature rules are Gauss rules built by
 Golub & Welsch ("Calculation of Gauss quadrature rules", Math. Comp. 23, 1969)
 from np.linalg.eigvalsh on first use.  One engine, ``_adapt``, integrates a
-vectorised integrand over a finite interval with endpoint powers: every round
-evaluates the 8- and 16-node rules of each pending panel in one call, and
-bisects the panels on which they disagree by more than QUAD_REL_TOL of the
-integral of |f|, so the tolerance holds on the modulus of a complex value.  An
-integrand that raises or is not finite, rules that never agree, and a Density
-value past PLAUSIBILITY_BOUND raise DivergentMoment.
+vectorised integrand over a finite interval with endpoint powers: from the
+whole interval as one panel, every round evaluates the 8- and 16-node rules of
+each pending panel in one call, and bisects the panels on which they disagree
+by more than QUAD_REL_TOL of the integral of |f|, so the tolerance holds on the
+modulus of a complex value.  An integrand that raises or is not finite, rules
+that never agree, and a Density value past PLAUSIBILITY_BOUND raise
+DivergentMoment; endpoint powers whose mass the final rules miss raise DomainError.
 
 The operator's quadrature action and the support masses of Mellin products go
 through one structural recursion, ``integrate(h)``, in the contraction factor
@@ -68,18 +69,19 @@ GEOMETRIC_ATOMS_MAX = 10_000  # atoms geometric_atoms may materialize
 
 @dataclass(frozen=True)
 class DecayBound:
-    """One-sided envelope ``const * ratio**n * (n+1)**(-power)`` for mu_n.
+    """One-sided envelope ``e**log_const * ratio**n * (n+1)**(-power)`` for mu_n.
 
     Valid for every n >= 0.  Used to certify convergence/divergence of the
-    classification series; never inferred from numerical moment values.
+    classification series; never inferred from numerical moment values.  The
+    constant is kept as its log: Gamma(b) of a beta tail passes double range at b ~ 171.
     """
 
     ratio: float
     power: float
-    const: float
+    log_const: float
 
     def pointwise(self, n: int) -> float:
-        return self.const * self.ratio**n * (n + 1.0) ** (-self.power)
+        return math.exp(self.log_const) * self.ratio**n * (n + 1.0) ** (-self.power)
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,8 @@ class MeasureSpec:
         integrates one factor's mass function over the other with it; an atomic
         factor is the outer one and goes through ``sum_atoms`` instead: its sum
         is exact there, while an atomic inner factor would hand quadrature a
-        step function.  Every failure raises DivergentMoment.
+        step function.  A failure raises DivergentMoment, or DomainError where the
+        rules cannot carry an endpoint power (see ``_adapt``).
         """
         raise NotImplementedError
 
@@ -207,10 +210,7 @@ class MeasureSpec:
         inf = self.inf_support
         if inf >= 1.0:
             # t >= inf on the support gives mu_n <= mu0 * inf**-n
-            return DecayBound(ratio=1.0 / inf, power=0.0, const=mu0)
-        return None
-
-    def decay_lower(self) -> DecayBound | None:
+            return DecayBound(ratio=1.0 / inf, power=0.0, log_const=math.log(mu0))
         return None
 
     # -- common plumbing -----------------------------------------------------
@@ -333,11 +333,11 @@ class PointMasses(MeasureSpec):
 
     def decay_upper(self) -> DecayBound:
         t_min = self.atoms[0][1]
-        return DecayBound(ratio=1.0 / t_min, power=0.0, const=self.mu0)
+        return DecayBound(ratio=1.0 / t_min, power=0.0, log_const=math.log(self.mu0))
 
     def decay_lower(self) -> DecayBound:
         lam, t_min = self.atoms[0]
-        return DecayBound(ratio=1.0 / t_min, power=0.0, const=lam / t_min)
+        return DecayBound(ratio=1.0 / t_min, power=0.0, log_const=math.log(lam / t_min))
 
     def to_json_dict(self) -> dict:
         out = {"type": "point_masses", "atoms": [[lam, t] for lam, t in self.atoms],
@@ -348,12 +348,6 @@ class PointMasses(MeasureSpec):
     def __repr__(self) -> str:
         return f"PointMasses({list(self.atoms)!r})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PointMasses) and self.atoms == other.atoms
-
-    def __hash__(self):
-        return hash(self.atoms)
-
 
 def truncated_atom_family(
     weight,
@@ -361,16 +355,15 @@ def truncated_atom_family(
     k_max: int,
     tail_bound: float,
     inf_support: float | None = None,
-    k_start: int = 1,
 ) -> PointMasses:
-    """Materialize the atom family (weight(k), position(k)) for k_start..k_max.
+    """Materialize the atom family (weight(k), position(k)) for k = 1..k_max.
 
     ``tail_bound`` is the caller's certificate that the dropped tail satisfies
     sum_{k > k_max} weight(k)/position(k) <= tail_bound.  ``inf_support`` may
     declare the infimum of the ideal (untruncated) support, e.g. 1 for
     positions accumulating at 1 from above.
     """
-    atoms = [(weight(k), position(k)) for k in range(k_start, k_max + 1)]
+    atoms = [(weight(k), position(k)) for k in range(1, k_max + 1)]
     return PointMasses(
         atoms, declared_inf_support=inf_support, tail_certificate=float(tail_bound)
     )
@@ -411,28 +404,16 @@ class PowerTailDensity(MeasureSpec):
         return -np.log(np.arange(n_min, n_max + 1.0) + self.a)
 
     def decay_upper(self) -> DecayBound:
-        return DecayBound(ratio=1.0, power=1.0, const=max(1.0, 1.0 / self.a))
+        return DecayBound(ratio=1.0, power=1.0, log_const=max(0.0, -math.log(self.a)))
 
     def decay_lower(self) -> DecayBound:
-        return DecayBound(ratio=1.0, power=1.0, const=min(1.0, 1.0 / self.a))
+        return DecayBound(ratio=1.0, power=1.0, log_const=min(0.0, -math.log(self.a)))
 
     def to_json_dict(self) -> dict:
         return {"type": "density", "kind": "power_tail", "a": self.a}
 
     def __repr__(self) -> str:
         return f"PowerTailDensity(a={self.a!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PowerTailDensity) and self.a == other.a
-
-    def __hash__(self):
-        return hash(("power_tail", self.a))
-
-
-def beta_moment(a: float, b: float, n: int) -> float:
-    """Euler Beta B(b, n+a-b+1), the closed-form moment mu_n of the density
-    (t-1)**(b-1) * t**-a on (1, inf).  Requires a+1 > b > 0."""
-    return BetaTailDensity(a, b).weighted_mass(-float(n))[0]
 
 
 # B_2k / (2k (2k-1)), k = 1..6: Stirling's series for log Gamma
@@ -513,42 +494,30 @@ class BetaTailDensity(MeasureSpec):
     def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
         return _log_beta(self.b, self.a + np.arange(n_min, n_max + 1.0) - self.b + 1.0)
 
-    def _envelope_consts(self) -> tuple[float, float]:
+    def _log_envelope_consts(self) -> tuple[float, float]:
         # B(b,m), m = n+m0, m0 = 1+a-b > 0.  For b >= 1, u*exp(-u) <= 1-exp(-u) <= u inside
         # B(b,m) = int (1-e^-u)^(b-1) e^-mu du gives Gamma(b)*(n+a)^-b <= B <= Gamma(b)*m^-b;
         # for b < 1, Wendel's inequality gives Gamma(b)*m^-b <= B <= that * (1+b/m0)^(1-b).
         # Then m and n+a are squeezed against (n+1).
         a, b = self.a, self.b
         m0 = 1.0 + a - b
-        gb = math.exp(math.lgamma(b))
-        m_factor = min(1.0, m0) ** (-b)  # m >= min(1, m0)*(n+1)
-        m_factor_lo = max(1.0, m0) ** (-b)  # m <= max(1, m0)*(n+1)
+        up = math.lgamma(b) - b * math.log(min(1.0, m0))  # m >= min(1, m0)*(n+1)
         if b >= 1.0:  # n+a <= max(1, a)*(n+1)
-            return gb * m_factor, gb * max(1.0, a) ** (-b)
-        return gb * (1.0 + b / m0) ** (1.0 - b) * m_factor, gb * m_factor_lo
+            return up, math.lgamma(b) - b * math.log(max(1.0, a))
+        lo = math.lgamma(b) - b * math.log(max(1.0, m0))  # m <= max(1, m0)*(n+1)
+        return up + (1.0 - b) * math.log1p(b / m0), lo
 
     def decay_upper(self) -> DecayBound:
-        c_up, _ = self._envelope_consts()
-        return DecayBound(ratio=1.0, power=self.b, const=c_up)
+        return DecayBound(ratio=1.0, power=self.b, log_const=self._log_envelope_consts()[0])
 
     def decay_lower(self) -> DecayBound:
-        _, c_lo = self._envelope_consts()
-        return DecayBound(ratio=1.0, power=self.b, const=c_lo)
+        return DecayBound(ratio=1.0, power=self.b, log_const=self._log_envelope_consts()[1])
 
     def to_json_dict(self) -> dict:
         return {"type": "density", "kind": "beta_tail", "a": self.a, "b": self.b}
 
     def __repr__(self) -> str:
         return f"BetaTailDensity(a={self.a!r}, b={self.b!r})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BetaTailDensity)
-            and (self.a, self.b) == (other.a, other.b)
-        )
-
-    def __hash__(self):
-        return hash(("beta_tail", self.a, self.b))
 
 
 PLAUSIBILITY_BOUND = 1e50  # desk-scale integrability certificate
@@ -557,10 +526,17 @@ _LOG_PLAUSIBILITY_BOUND = math.log(PLAUSIBILITY_BOUND)
 # -- the quadrature engine ---------------------------------------------------------
 
 _NODES = 8  # a panel is measured by its 8- and 16-node Gauss rules
-_MAX_NODES = 128  # the whole interval doubles its nodes up to this before it is split
 _MAX_PANELS = 1024
 _MIN_SHARE = 2.0**-60  # no panel narrower than this share of the interval
 _MAX_LEVEL_NODES = 1 << 15  # nodes of the finest Density level
+
+
+@functools.lru_cache(maxsize=512)
+def _log_jacobi_mass(alpha: float, beta: float) -> float:
+    """log B(alpha+1, beta+1), the integral of x**alpha (1-x)**beta over (0, 1): by
+    _log_beta, within ~1e-14 at alpha ~ 3e5, where math.lgamma values are off by ~5e-10."""
+    small, large = sorted((alpha, beta))
+    return float(_log_beta(small + 1.0, np.array([large + 1.0]))[0])
 
 
 @functools.lru_cache(maxsize=512)
@@ -570,9 +546,13 @@ def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
     Golub & Welsch, "Calculation of Gauss quadrature rules", Math. Comp. 23 (1969):
     the nodes are the eigenvalues of the Jacobi matrix of the orthonormal
     recurrence.  Two Newton steps on p_n polish them, and the weights are the
-    Christoffel numbers 1 / sum of p_k(x)**2 over k < n.  The rule is exact for
-    polynomials of degree up to 2n - 1; alpha, beta > -1.
+    Christoffel numbers mass / sum of p_k(x)**2 over k < n, with p_k orthonormal
+    for the weight scaled to mass 1, so that no p_k overflows.  The rule is exact for
+    polynomials of degree up to 2n - 1; alpha, beta > -1.  A power past 1/eps
+    raises DomainError: the rule's nodes would round onto an end of (0, 1).
     """
+    if max(alpha, beta) * np.finfo(float).eps >= 1.0:
+        raise DomainError(f"no Gauss rule carries the endpoint power {max(alpha, beta):g}")
     a, b = beta, alpha  # the Jacobi weight (1-y)**a (1+y)**b in y = 2x - 1
     k = np.arange(n + 1.0)
     s = 2.0 * k + a + b
@@ -584,9 +564,8 @@ def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
     diag = (1.0 + diag[:n]) / 2.0  # the recurrence in x
     off = np.sqrt(off2[1:]) / 2.0  # off[j] couples p_j and p_(j+1)
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
-    log_mass = math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0)
     for _ in range(2):
-        p_prev, p = np.zeros(n), np.full(n, math.exp(-0.5 * log_mass))
+        p_prev, p = np.zeros(n), np.ones(n)
         d_prev, d = np.zeros(n), np.zeros(n)
         squares = p * p
         for j in range(n):
@@ -596,7 +575,7 @@ def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
             if j < n - 1:
                 squares += p * p
         x = x - p / d
-    return _read_only(x), _read_only(1.0 / squares)
+    return _read_only(x), _read_only(math.exp(_log_jacobi_mass(alpha, beta)) / squares)
 
 
 def _panel_rule(a: float, b: float, lo: float, hi: float, alpha: float, beta: float,
@@ -637,33 +616,20 @@ def _adapt(h, lo: float, hi: float, alpha: float = 0.0, beta: float = 0.0):
     first axis, real or complex, with any trailing shape; the integral has that
     trailing shape.  The error estimate is the difference of a Gauss rule and
     the one with twice its nodes, and the tolerance is QUAD_REL_TOL of the
-    integral of |h|, in every component.  First the whole interval doubles its
-    nodes from 8 up to _MAX_NODES; an integrand that is not smooth enough for
-    that is split into panels, each measured by its 8- and 16-node rules, and
-    each round bisects the panels whose estimate exceeds their share of the
-    tolerance (or the worst one) until the estimates sum to within it.  Every
-    round calls h once, on all its new nodes.  The panels returned are the
-    final ones, in order.  More than _MAX_PANELS panels, or one narrower than
-    _MIN_SHARE of (lo, hi), raise DivergentMoment.
+    integral of |h|, in every component.  The panels start as (lo, hi) alone,
+    each is measured by its 8- and 16-node rules, and each round bisects the
+    panels whose estimate exceeds their share of the tolerance (or the worst
+    one) until the estimates sum to within it.  Every round calls h once, on
+    all its new nodes.  The panels returned are the final ones, in order.  More
+    than _MAX_PANELS panels, or one narrower than _MIN_SHARE of (lo, hi), raise
+    DivergentMoment.  Final weights that miss the mass of (x-lo)**alpha (hi-x)**beta
+    by QUAD_REL_TOL raise DomainError: a steep power, alpha ~ 1e6, vanishes at every
+    node of a panel off its end, where the two rules would agree on a wrong 0.
     """
-    rules = [_panel_rule(lo, hi, lo, hi, alpha, beta, n) for n in (_NODES, 2 * _NODES)]
-    values = _evaluate(h, np.concatenate([x for x, _ in rules]))
-    coarse = np.einsum("k,k...->...", rules[0][1], values[:_NODES])
-    w, values = rules[1][1], values[_NODES:]
-    while True:
-        fine = np.einsum("k,k...->...", w, values)
-        size = np.einsum("k,k...->...", w, np.abs(values))
-        if np.all(np.abs(fine - coarse) <= QUAD_REL_TOL * size):
-            return fine, np.array([[lo, hi]])
-        if len(w) == _MAX_NODES:
-            break
-        x, w = _panel_rule(lo, hi, lo, hi, alpha, beta, 2 * len(w))
-        coarse, values = fine, _evaluate(h, x)
-
+    log_mass = (1.0 + alpha + beta) * math.log(hi - lo) + _log_jacobi_mass(alpha, beta)
     done = np.empty((0, 2))
-    value = size = err = 0.0  # of the done panels
-    mid = (lo + hi) / 2.0
-    pending = np.array([[lo, mid], [mid, hi]])
+    value = size = err = weight = 0.0  # of the done panels
+    pending = np.array([[lo, hi]])
     while True:
         rules = [_panel_rule(a, b, lo, hi, alpha, beta, n)
                  for a, b in pending for n in (_NODES, 2 * _NODES)]
@@ -677,6 +643,10 @@ def _adapt(h, lo: float, hi: float, alpha: float = 0.0, beta: float = 0.0):
         errs = np.abs(fine - coarse)
         total = size + sizes.sum(axis=0)
         if np.all(err + errs.sum(axis=0) <= QUAD_REL_TOL * total):
+            with np.errstate(divide="ignore"):  # weights that all underflow read -inf
+                if not abs(np.log(weight + fine_w.sum()) - log_mass) <= QUAD_REL_TOL:
+                    raise DomainError(f"the Gauss rules miss the mass of the endpoint powers "
+                                      f"{alpha:g} and {beta:g}")
             panels = np.concatenate([done, pending])
             return value + fine.sum(axis=0), panels[np.argsort(panels[:, 0])]
         # each panel's estimate against its share of the tolerance, in its worst component
@@ -691,6 +661,7 @@ def _adapt(h, lo: float, hi: float, alpha: float = 0.0, beta: float = 0.0):
         value = value + fine[keep].sum(axis=0)
         size = size + sizes[keep].sum(axis=0)
         err = err + errs[keep].sum(axis=0)
+        weight += fine_w[keep].sum()
         rest = pending[split]
         if len(done) + 2 * len(rest) > _MAX_PANELS or (
             (rest[:, 1] - rest[:, 0]).min() < _MIN_SHARE * (hi - lo)
@@ -849,13 +820,17 @@ class Density(MeasureSpec):
         return log_mu[: np.argmax(failed)] if failed.any() else log_mu
 
     def decay_lower(self) -> DecayBound | None:
+        return self._witness_bound
+
+    @functools.cached_property  # every series and sup verdict asks for it
+    def _witness_bound(self) -> DecayBound | None:
         # witness interval [lo, mid]: mu_n >= mass([lo, mid]) * mid**-(n+1)
         lo, hi = self.support
         mid = (lo + hi) / 2.0
         mass = float(self.mass_below(mid))
         if mass <= 0.0:
             return None
-        return DecayBound(ratio=1.0 / mid, power=0.0, const=mass / mid)
+        return DecayBound(ratio=1.0 / mid, power=0.0, log_const=math.log(mass / mid))
 
     def to_json_dict(self) -> dict:
         raise ValueError("generic densities have no JSON form; use a named kind")
@@ -920,9 +895,7 @@ class MellinConvolution(MeasureSpec):
     def _combine(a: DecayBound | None, b: DecayBound | None) -> DecayBound | None:
         if a is None or b is None:
             return None
-        return DecayBound(
-            ratio=a.ratio * b.ratio, power=a.power + b.power, const=a.const * b.const
-        )
+        return DecayBound(a.ratio * b.ratio, a.power + b.power, a.log_const + b.log_const)
 
     def decay_upper(self) -> DecayBound | None:
         return self._combine(self.left.decay_upper(), self.right.decay_upper())
@@ -939,16 +912,6 @@ class MellinConvolution(MeasureSpec):
 
     def __repr__(self) -> str:
         return f"MellinConvolution({self.left!r}, {self.right!r})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MellinConvolution)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash(("mellin", self.left, self.right))
 
 
 class Scaled(MeasureSpec):
@@ -992,23 +955,17 @@ class Scaled(MeasureSpec):
 
     def decay_upper(self) -> DecayBound | None:
         b = self.inner.decay_upper()
-        return None if b is None else DecayBound(b.ratio, b.power, self.c * b.const)
+        return None if b is None else DecayBound(b.ratio, b.power, math.log(self.c) + b.log_const)
 
     def decay_lower(self) -> DecayBound | None:
         b = self.inner.decay_lower()
-        return None if b is None else DecayBound(b.ratio, b.power, self.c * b.const)
+        return None if b is None else DecayBound(b.ratio, b.power, math.log(self.c) + b.log_const)
 
     def to_json_dict(self) -> dict:
         return {"type": "scaled", "c": self.c, "inner": self.inner.to_json_dict()}
 
     def __repr__(self) -> str:
         return f"Scaled({self.c!r}, {self.inner!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Scaled) and self.c == other.c and self.inner == other.inner
-
-    def __hash__(self):
-        return hash(("scaled", self.c, self.inner))
 
 
 # -- top-level operations ----------------------------------------------------
@@ -1054,10 +1011,10 @@ def hardy_measure() -> PowerTailDensity:
     return PowerTailDensity(1.0)
 
 
-def dirac(t: float, mass: float | None = None) -> PointMasses:
-    """Atom at t.  Default weight t, making mu_0 = 1."""
+def dirac(t: float) -> PointMasses:
+    """Atom at t of weight t, making mu_0 = 1."""
     t = _as_positive(t, "atom position")
-    return PointMasses([(t if mass is None else mass, t)])
+    return PointMasses([(t, t)])
 
 
 def geometric_atoms(lam: float, ratio: float, tol: float = 1e-16) -> PointMasses:
@@ -1116,7 +1073,3 @@ def from_json_dict(data: dict) -> MeasureSpec:
     if kind == "scaled":
         return Scaled(float(data["c"]), from_json_dict(data["inner"]))
     raise ValueError(f"unknown measure type {kind!r}")
-
-
-def from_json(text: str) -> MeasureSpec:
-    return from_json_dict(json.loads(text))

@@ -10,7 +10,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fockhaus
 from fockhaus import cli, measure
@@ -120,6 +120,18 @@ def test_apply_quadrature_ends_when_the_real_part_cancels(name, want, tmp_path, 
     point, value = capsys.readouterr().out.strip().split(" -> ")
     assert code == 0 and point == "(0.5+0.5j)"
     assert abs(complex(value.replace(" ", "")) - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("measure_name", ["beta:1e10:2", "beta:1e308:2"])
+def test_a_tail_no_gauss_rule_carries_is_a_precondition_failure(measure_name, capsys):
+    # beta:1e10:2 printed 0 + 0j for 5e-21j; beta:1e308:2 died with an OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["apply", "--measure", measure_name, "--fn", "monomial:2",
+                         "--mode", "quadrature", "--at", "0.5+0.5j"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("fockhaus: DomainError: ")
 
 
 @pytest.mark.parametrize("flags", [[], ["--mode", "quadrature", "--at", "0.5+0.5j"]])
@@ -245,6 +257,14 @@ def test_norm_keeps_the_exit_code_contract(coeff_file, fn, p, q, alpha):
     argv = ["norm", "--fn", fn, f"--p={p!r}", f"--alpha={alpha!r}"]  # a bare -inf reads as a flag
     if q is not None:
         argv.append(f"--q={q!r}")
+    code, out, err = _run_in_process(argv)
+    if code == 0:
+        assert err == "" and out.count("\n") == 1 and math.isfinite(float(out))
+
+
+def _run_in_process(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one CLI call within a 20 s budget, which must
+    keep the 0/1/2 contract, warn nothing and print no traceback on a failure."""
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _out_of_time)
     signal.alarm(20)
@@ -262,10 +282,48 @@ def test_norm_keeps_the_exit_code_contract(coeff_file, fn, p, q, alpha):
     out, err = out.getvalue(), err.getvalue()
     assert not caught, [str(w.message) for w in caught]
     assert code in (0, 1, 2)
-    if code == 0:
-        assert err == "" and out.count("\n") == 1 and math.isfinite(float(out))
-    else:
+    if code != 0:
         assert out == "" and "Traceback" not in err
+    return code, out, err
+
+
+# -- classify and report under generated inputs -------------------------------------------
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+_MEASURES = st.one_of(
+    st.just("hardy"),
+    st.floats(-300.0, 300.0).map(lambda e: f"dirac:{10.0**e!r}"),
+    st.tuples(st.sampled_from([-1.0, 1.0]), _log_uniform(1e-12, 1.0)).map(
+        lambda sd: f"dirac:{1.0 + sd[0] * sd[1]!r}"),
+    st.tuples(st.floats(1e-3, 0.999), _log_uniform(1.0, 1e3)).map(
+        lambda lr: f"geom:{lr[0]!r}:{lr[1]!r}"),
+    st.tuples(_log_uniform(1e-3, 1e6), _log_uniform(1e-3, 1e3)).map(
+        lambda ab: f"beta:{ab[0]!r}:{ab[1]!r}"),
+)
+_CLASSIFY_EXPONENTS = st.one_of(_log_uniform(1e-3, 1e7), st.sampled_from([math.inf, 1.0, 2.0]))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(["classify", "report"]), m=_MEASURES, p=_CLASSIFY_EXPONENTS,
+       q=_CLASSIFY_EXPONENTS, weight=st.booleans())
+# each of these died with an OverflowError, or allocated without bound
+@example("classify", "dirac:2", 1.0, 0.01, False)
+@example("classify", "geom:0.5:2", 1.0, 1e-3, False)
+@example("classify", "dirac:1.0001", 1e6, 1e7, False)
+@example("classify", "beta:2:2", 1e6, 1e7, False)
+@example("report", "beta:820269:0.0141416", 2.0, 54848.2, False)
+@example("classify", "dirac:1.00000001", 1.0, 0.5, False)
+def test_classify_and_report_keep_the_exit_code_contract(command, m, p, q, weight):
+    argv = [command, "--measure", m, f"--p={p!r}", f"--q={q!r}"]
+    if weight and command == "classify":
+        argv += ["--weight", "gauss:1"]
+    code, out, err = _run_in_process(argv)
+    if code == 0:
+        assert err == ""
+        json.loads(out, parse_constant=_refuse_constant)
 
 
 # -- cold start: no path loads scipy ---------------------------------------------------------
