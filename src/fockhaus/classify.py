@@ -33,6 +33,7 @@ from .focknorm import _LOG_DBL_MAX, INF, _check_exponent
 from .measure import (
     DivergentMoment,
     MeasureSpec,
+    exp_moments,
     normalize,
     support_report,
 )
@@ -126,12 +127,6 @@ def _scan(m: MeasureSpec, power: float, w: float, horizon: int, accumulate, stop
     return value, horizon
 
 
-def _exp(log_x: float) -> float:
-    """e**log_x, inf past double range without a warning: how a tail bound leaves logs."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(log_x))
-
-
 def _geometric_tail(log_C: float, log_rho: float, v: float, N: int) -> float | None:
     """Bound on sum_{n>N} C * rho**n * (n+1)**v for rho < 1, from log C and log rho.
 
@@ -140,8 +135,8 @@ def _geometric_tail(log_C: float, log_rho: float, v: float, N: int) -> float | N
     log_grow = log_rho + max(v, 0.0) / (N + 2.0)
     if log_grow >= 0.0:
         return None
-    return _exp(log_C + (N + 1.0) * log_rho + v * math.log(N + 2.0)
-                - math.log(-math.expm1(log_grow)))
+    return float(exp_moments(log_C + (N + 1.0) * log_rho + v * math.log(N + 2.0)
+                             - math.log(-math.expm1(log_grow))))
 
 
 def _power_tail(log_C: float, v: float, N: int) -> float:
@@ -150,7 +145,7 @@ def _power_tail(log_C: float, v: float, N: int) -> float:
     C = e**log_C enters in logs where it passes double range, and as a number otherwise.
     """
     if log_C > _LOG_DBL_MAX:
-        return _exp(log_C + (v + 1.0) * math.log(N + 1.0) - math.log(-v - 1.0))
+        return float(exp_moments(log_C + (v + 1.0) * math.log(N + 1.0) - math.log(-v - 1.0)))
     return math.exp(log_C) * (N + 1.0) ** (v + 1.0) / (-v - 1.0)
 
 
@@ -166,7 +161,7 @@ def series_verdict(
     """
     if not power > 0:
         raise ValueError("power must be > 0")
-    up, lo, horizon = m.decay_upper(), m.decay_lower(), _horizon(m, SERIES_HORIZON)
+    (up, lo), horizon = m.decay_bounds(), _horizon(m, SERIES_HORIZON)
 
     outcome, tail, witness = "unknown", None, None
     if up is not None:
@@ -209,7 +204,7 @@ def series_verdict(
 
 def sup_verdict(m: MeasureSpec, weight_exponent: float = 0.0) -> SeriesVerdict:
     """Certified verdict on sup over n of mu_n * (n+1)**weight_exponent."""
-    up, lo, horizon = m.decay_upper(), m.decay_lower(), _horizon(m, SUP_HORIZON)
+    (up, lo), horizon = m.decay_bounds(), _horizon(m, SUP_HORIZON)
 
     outcome, bound, witness = "unknown", None, None
     if up is not None:
@@ -219,12 +214,12 @@ def sup_verdict(m: MeasureSpec, weight_exponent: float = 0.0) -> SeriesVerdict:
             # so past the horizon it is at most its value at the horizon or at that peak
             log_rho = math.log(up.ratio)
             n = max(horizon, v / -log_rho - 1.0)
-            bound = _exp(up.log_const + n * log_rho + v * math.log(n + 1.0))
+            bound = float(exp_moments(up.log_const + n * log_rho + v * math.log(n + 1.0)))
             outcome = "bounded"
             witness = f"geometric envelope ratio {up.ratio:g}"
         elif up.ratio == 1.0 and v <= 0.0:
             outcome = "bounded"
-            bound = _exp(up.log_const)
+            bound = float(exp_moments(up.log_const))
             witness = f"power envelope (n+1)^{v:g}"
     if outcome == "unknown" and lo is not None:
         v = weight_exponent - lo.power
@@ -367,38 +362,36 @@ def gauss_weight(alpha: float) -> RadialWeight:
     )
 
 
-def classify_weighted(
-    m: MeasureSpec, v: RadialWeight, compactness: bool = True
-) -> list[ClassReport]:
-    """Boundedness (and optionally compactness) on weighted sup-norm spaces.
+def classify_weighted(m: MeasureSpec, v: RadialWeight) -> list[ClassReport]:
+    """Boundedness and compactness on weighted sup-norm spaces.
 
     Bounded iff no mass below 1 and mu_0 < inf (the latter holds by
     construction).  Compactness additionally needs no atom at 1 and the
     weight's declared limit hypotheses.  Returns the "weighted-bounded"
-    report, then with ``compactness`` the "weighted-compact" one.
+    report, then the "weighted-compact" one.
     """
     if not v.rapid_decay:
         raise HypothesisNotDeclared(
             "weight must decay faster than every polynomial (rapid_decay flag)"
         )
     flags = (v.monomial_norm_roots_diverge, v.dilation_ratio_vanishes)
-    if compactness and None in flags:
+    if None in flags:
         raise HypothesisNotDeclared(
             "compactness needs the weight flags monomial_norm_roots_diverge "
             "and dilation_ratio_vanishes"
         )
     rep = support_report(m)
     params = {"weight": v.label}
-    reports = [_support_verdict("weighted-bounded", rep, params, [], (
-        ("weighted/mass-below-1", "mass_below_1", 0.0, None),
-        ("weighted/total-weighted-mass", "total_weighted_mass", "finite", None)))]
-    if compactness:
-        hyp = all(flags)
-        note = "hypothesis flags " + ("declared" if hyp else "not satisfied")
-        reports.append(_support_verdict("weighted-compact", rep, params, [], (
+    hyp = all(flags)
+    note = "hypothesis flags " + ("declared" if hyp else "not satisfied")
+    return [
+        _support_verdict("weighted-bounded", rep, params, [], (
+            ("weighted/mass-below-1", "mass_below_1", 0.0, None),
+            ("weighted/total-weighted-mass", "total_weighted_mass", "finite", None))),
+        _support_verdict("weighted-compact", rep, params, [], (
             ("weighted/mass-unit-interval", "mass_unit_interval", 0.0, None),
-            ("weighted/compact-mass-at-1", "mass_at_1", 0.0, note)), hyp))
-    return reports
+            ("weighted/compact-mass-at-1", "mass_at_1", 0.0, note)), hyp),
+    ]
 
 
 # -- smoothing and summing criteria ---------------------------------------------

@@ -8,7 +8,6 @@ transcendental family (exponential kernels, Gaussian-type peaks).
 from __future__ import annotations
 
 import cmath
-import json
 import math
 
 import numpy as np
@@ -106,14 +105,6 @@ class CoeffFunction:
             return P.polyval(complex(z), self.coeffs)
         return P.polyval(np.asarray(z, dtype=complex), self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CoeffFunction) and np.array_equal(
-            self.coeffs, other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
     def __repr__(self) -> str:
         name = self.label or "f"
         return f"CoeffFunction({name}, degree={self.degree})"
@@ -121,16 +112,9 @@ class CoeffFunction:
     def to_json_dict(self) -> dict:
         return {"coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def from_json_dict(data: dict) -> CoeffFunction:
     return CoeffFunction([complex(re, im) for re, im in data["coeffs"]])
-
-
-def from_json(text: str) -> CoeffFunction:
-    return from_json_dict(json.loads(text))
 
 
 def monomial(n: int) -> CoeffFunction:
@@ -142,12 +126,11 @@ def monomial(n: int) -> CoeffFunction:
     return CoeffFunction(c, label=f"u_{n}")
 
 
-def _exp_series_degree(x: float, rel_tol: float, cap: int, n_max: int | None) -> int:
-    """n_max, or else the smallest N with sum_{n>N} x**n/n! <= rel_tol * e**x.
+def _exp_series_degree(x: float, rel_tol: float, cap: int) -> int:
+    """The smallest N with sum_{n>N} x**n/n! <= rel_tol * e**x.
 
     Tail bound: x**(N+1)/(N+1)! * 1/(1 - x/(N+2)) once N+2 > x.  TruncationError
-    when no N <= cap meets it (always for x > cap, x = inf included), or when a
-    given n_max is below N.
+    when no N <= cap meets it (always for x > cap, x = inf included).
     """
     needed = 0
     if x > 0.0:
@@ -162,9 +145,7 @@ def _exp_series_degree(x: float, rel_tol: float, cap: int, n_max: int | None) ->
             raise TruncationError(
                 f"tail {rel_tol:g} at scale {x:g} needs more than {cap} coefficients"
             )
-    if n_max is not None and n_max < needed:
-        raise TruncationError(f"degree {n_max} misses the {rel_tol:g} tail bound (needs {needed})")
-    return needed if n_max is None else n_max
+    return needed
 
 
 def _exp_coeffs(scale: float, theta: float, n_deg: int) -> np.ndarray:
@@ -178,22 +159,20 @@ def _exp_coeffs(scale: float, theta: float, n_deg: int) -> np.ndarray:
     return mags * np.exp(-1j * theta * np.arange(n_deg + 1))
 
 
-def kernel(beta: float, a: complex, n_max: int | None = None,
-           radius: float = 8.0) -> CoeffFunction:
+def kernel(beta: float, a: complex, radius: float = 8.0) -> CoeffFunction:
     """Truncated expansion of exp(beta * z * conj(a)).
 
-    The truncation degree keeps the dropped tail below 1e-14 relative to the
-    peak value on |z| <= radius.  With n_max given, that degree is used after
-    checking it meets the bound; degrees beyond 500 are refused.
+    The degree is the smallest that keeps the dropped tail below 1e-14 relative
+    to the peak value on |z| <= radius; a degree beyond 500 raises TruncationError.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     a = complex(a)
     x = beta * abs(a) * radius
-    n_max = _exp_series_degree(x, 1e-14, 500, n_max)
+    n_deg = _exp_series_degree(x, 1e-14, 500)
     if a == 0:
         return CoeffFunction([1.0], label=f"K_{beta:g}(.,0)")
-    coeffs = _exp_coeffs(beta * abs(a), cmath.phase(a), n_max)
+    coeffs = _exp_coeffs(beta * abs(a), cmath.phase(a), n_deg)
     return CoeffFunction(coeffs, label=f"K_{beta:g}(.,{a!r})")
 
 
@@ -207,8 +186,8 @@ def gaussian_peak(n: int, alpha: float) -> CoeffFunction:
         raise ValueError("peak index must be >= 1")
     alpha = _check_alpha(alpha)
     x = n * (2.0 * n / alpha)
-    n_max = _exp_series_degree(x, 1e-12, 2000, None)
-    coeffs = _exp_coeffs(float(n), 0.0, n_max)
+    n_deg = _exp_series_degree(x, 1e-12, 2000)
+    coeffs = _exp_coeffs(float(n), 0.0, n_deg)
     coeffs = coeffs * math.exp(-(n**2) / (2.0 * alpha))
     return CoeffFunction(coeffs, label=f"peak_{n}")
 

@@ -15,7 +15,8 @@ each pending panel in one call, and bisects the panels on which they disagree
 by more than QUAD_REL_TOL of the integral of |f|, so the tolerance holds on the
 modulus of a complex value.  An integrand that raises or is not finite, rules
 that never agree, and a Density value past PLAUSIBILITY_BOUND raise
-DivergentMoment; endpoint powers whose mass the final rules miss raise DomainError.
+DivergentMoment; endpoint powers whose mass the final rules miss, and a weighted
+sum past double range, raise DomainError.
 
 The operator's quadrature action and the support masses of Mellin products go
 through one structural recursion, ``integrate(h)``, in the contraction factor
@@ -40,7 +41,6 @@ a moment reads inf, without a warning.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -65,6 +65,7 @@ CLOSED_FORM = "closed-form"
 QUAD_REL_TOL = 1e-10
 QUAD_TAG = f"quadrature({QUAD_REL_TOL:g})"
 GEOMETRIC_ATOMS_MAX = 10_000  # atoms geometric_atoms may materialize
+GEOMETRIC_TAIL = 1e-16  # the share of mu_0 that geometric_atoms may drop
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ class MeasureSpec:
         factor is the outer one and goes through ``sum_atoms`` instead: its sum
         is exact there, while an atomic inner factor would hand quadrature a
         step function.  A failure raises DivergentMoment, or DomainError where the
-        rules cannot carry an endpoint power (see ``_adapt``).
+        rules cannot carry an endpoint power or a sum passes double range (see ``_adapt``).
         """
         raise NotImplementedError
 
@@ -205,13 +206,9 @@ class MeasureSpec:
 
     # -- decay certificates --------------------------------------------------
 
-    def decay_upper(self) -> DecayBound | None:
-        mu0 = self.mu0
-        inf = self.inf_support
-        if inf >= 1.0:
-            # t >= inf on the support gives mu_n <= mu0 * inf**-n
-            return DecayBound(ratio=1.0 / inf, power=0.0, log_const=math.log(mu0))
-        return None
+    def decay_bounds(self) -> tuple[DecayBound | None, DecayBound | None]:
+        """(upper, lower) envelopes of mu_n, each None where the structure certifies none."""
+        raise NotImplementedError
 
     # -- common plumbing -----------------------------------------------------
 
@@ -236,9 +233,6 @@ class MeasureSpec:
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -331,13 +325,11 @@ class PointMasses(MeasureSpec):
     def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
         return self._log_masses(-np.arange(n_min, n_max + 1.0))
 
-    def decay_upper(self) -> DecayBound:
-        t_min = self.atoms[0][1]
-        return DecayBound(ratio=1.0 / t_min, power=0.0, log_const=math.log(self.mu0))
-
-    def decay_lower(self) -> DecayBound:
+    def decay_bounds(self) -> tuple[DecayBound, DecayBound]:
+        # lam_1 t_1**-(n+1) <= mu_n <= mu_0 t_1**-n, t_1 the smallest position
         lam, t_min = self.atoms[0]
-        return DecayBound(ratio=1.0 / t_min, power=0.0, log_const=math.log(lam / t_min))
+        return (DecayBound(ratio=1.0 / t_min, power=0.0, log_const=math.log(self.mu0)),
+                DecayBound(ratio=1.0 / t_min, power=0.0, log_const=math.log(lam / t_min)))
 
     def to_json_dict(self) -> dict:
         out = {"type": "point_masses", "atoms": [[lam, t] for lam, t in self.atoms],
@@ -403,11 +395,11 @@ class PowerTailDensity(MeasureSpec):
     def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
         return -np.log(np.arange(n_min, n_max + 1.0) + self.a)
 
-    def decay_upper(self) -> DecayBound:
-        return DecayBound(ratio=1.0, power=1.0, log_const=max(0.0, -math.log(self.a)))
-
-    def decay_lower(self) -> DecayBound:
-        return DecayBound(ratio=1.0, power=1.0, log_const=min(0.0, -math.log(self.a)))
+    def decay_bounds(self) -> tuple[DecayBound, DecayBound]:
+        # 1/(n+a) against (n+1)**-1: the quotient (n+1)/(n+a) lies between 1 and 1/a
+        log_inv_a = -math.log(self.a)
+        return (DecayBound(ratio=1.0, power=1.0, log_const=max(0.0, log_inv_a)),
+                DecayBound(ratio=1.0, power=1.0, log_const=min(0.0, log_inv_a)))
 
     def to_json_dict(self) -> dict:
         return {"type": "density", "kind": "power_tail", "a": self.a}
@@ -494,7 +486,7 @@ class BetaTailDensity(MeasureSpec):
     def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
         return _log_beta(self.b, self.a + np.arange(n_min, n_max + 1.0) - self.b + 1.0)
 
-    def _log_envelope_consts(self) -> tuple[float, float]:
+    def decay_bounds(self) -> tuple[DecayBound, DecayBound]:
         # B(b,m), m = n+m0, m0 = 1+a-b > 0.  For b >= 1, u*exp(-u) <= 1-exp(-u) <= u inside
         # B(b,m) = int (1-e^-u)^(b-1) e^-mu du gives Gamma(b)*(n+a)^-b <= B <= Gamma(b)*m^-b;
         # for b < 1, Wendel's inequality gives Gamma(b)*m^-b <= B <= that * (1+b/m0)^(1-b).
@@ -503,15 +495,12 @@ class BetaTailDensity(MeasureSpec):
         m0 = 1.0 + a - b
         up = math.lgamma(b) - b * math.log(min(1.0, m0))  # m >= min(1, m0)*(n+1)
         if b >= 1.0:  # n+a <= max(1, a)*(n+1)
-            return up, math.lgamma(b) - b * math.log(max(1.0, a))
-        lo = math.lgamma(b) - b * math.log(max(1.0, m0))  # m <= max(1, m0)*(n+1)
-        return up + (1.0 - b) * math.log1p(b / m0), lo
-
-    def decay_upper(self) -> DecayBound:
-        return DecayBound(ratio=1.0, power=self.b, log_const=self._log_envelope_consts()[0])
-
-    def decay_lower(self) -> DecayBound:
-        return DecayBound(ratio=1.0, power=self.b, log_const=self._log_envelope_consts()[1])
+            lo = math.lgamma(b) - b * math.log(max(1.0, a))
+        else:
+            lo = math.lgamma(b) - b * math.log(max(1.0, m0))  # m <= max(1, m0)*(n+1)
+            up += (1.0 - b) * math.log1p(b / m0)
+        return (DecayBound(ratio=1.0, power=b, log_const=up),
+                DecayBound(ratio=1.0, power=b, log_const=lo))
 
     def to_json_dict(self) -> dict:
         return {"type": "density", "kind": "beta_tail", "a": self.a, "b": self.b}
@@ -616,15 +605,18 @@ def _adapt(h, lo: float, hi: float, alpha: float = 0.0, beta: float = 0.0):
     first axis, real or complex, with any trailing shape; the integral has that
     trailing shape.  The error estimate is the difference of a Gauss rule and
     the one with twice its nodes, and the tolerance is QUAD_REL_TOL of the
-    integral of |h|, in every component.  The panels start as (lo, hi) alone,
-    each is measured by its 8- and 16-node rules, and each round bisects the
-    panels whose estimate exceeds their share of the tolerance (or the worst
-    one) until the estimates sum to within it.  Every round calls h once, on
-    all its new nodes.  The panels returned are the final ones, in order.  More
-    than _MAX_PANELS panels, or one narrower than _MIN_SHARE of (lo, hi), raise
-    DivergentMoment.  Final weights that miss the mass of (x-lo)**alpha (hi-x)**beta
-    by QUAD_REL_TOL raise DomainError: a steep power, alpha ~ 1e6, vanishes at every
-    node of a panel off its end, where the two rules would agree on a wrong 0.
+    integral of |h|, in every component, or the smallest normal double if that
+    is larger: a component below the normal range is accurate to that level.
+    The panels start as (lo, hi) alone, each is measured by its 8- and 16-node
+    rules, and each round bisects the panels whose estimate exceeds their share
+    of the tolerance (or the worst one) until the estimates sum to within it.
+    Every round calls h once, on all its new nodes.  The panels returned are the
+    final ones, in order.  More than _MAX_PANELS panels, or one narrower than
+    _MIN_SHARE of (lo, hi), raise DivergentMoment.  Final weights that miss the
+    mass of (x-lo)**alpha (hi-x)**beta by QUAD_REL_TOL raise DomainError: a steep
+    power, alpha ~ 1e6, vanishes at every node of a panel off its end, where the
+    two rules would agree on a wrong 0.  So does a weighted sum past double
+    range, where every value of h is finite.
     """
     log_mass = (1.0 + alpha + beta) * math.log(hi - lo) + _log_jacobi_mass(alpha, beta)
     done = np.empty((0, 2))
@@ -635,14 +627,20 @@ def _adapt(h, lo: float, hi: float, alpha: float = 0.0, beta: float = 0.0):
                  for a, b in pending for n in (_NODES, 2 * _NODES)]
         values = _evaluate(h, np.concatenate([x for x, _ in rules]))
         values = values.reshape((len(pending), 3 * _NODES) + values.shape[1:])
-        coarse = np.einsum("pk,pk...->p...", np.array([w for _, w in rules[0::2]]),
-                           values[:, :_NODES])
         fine_w = np.array([w for _, w in rules[1::2]])
-        fine = np.einsum("pk,pk...->p...", fine_w, values[:, _NODES:])
-        sizes = np.einsum("pk,pk...->p...", fine_w, np.abs(values[:, _NODES:]))
+        with np.errstate(over="ignore"):
+            coarse = np.einsum("pk,pk...->p...", np.array([w for _, w in rules[0::2]]),
+                               values[:, :_NODES])
+            fine = np.einsum("pk,pk...->p...", fine_w, values[:, _NODES:])
+            sizes = np.einsum("pk,pk...->p...", fine_w, np.abs(values[:, _NODES:]))
+            total = size + sizes.sum(axis=0)
+        # the weights are positive, so a finite total bounds every fine sum and their total
+        if not (np.isfinite(total).all() and np.isfinite(coarse).all()):
+            raise DomainError("a weighted sum of the integrand lies past double range")
+        # no tolerance below the smallest normal double, where QUAD_REL_TOL * total underflows
+        tol = np.maximum(QUAD_REL_TOL * total, np.finfo(float).tiny)
         errs = np.abs(fine - coarse)
-        total = size + sizes.sum(axis=0)
-        if np.all(err + errs.sum(axis=0) <= QUAD_REL_TOL * total):
+        if np.all(err + errs.sum(axis=0) <= tol):
             with np.errstate(divide="ignore"):  # weights that all underflow read -inf
                 if not abs(np.log(weight + fine_w.sum()) - log_mass) <= QUAD_REL_TOL:
                     raise DomainError(f"the Gauss rules miss the mass of the endpoint powers "
@@ -651,8 +649,7 @@ def _adapt(h, lo: float, hi: float, alpha: float = 0.0, beta: float = 0.0):
             return value + fine.sum(axis=0), panels[np.argsort(panels[:, 0])]
         # each panel's estimate against its share of the tolerance, in its worst component
         share = (pending[:, 1] - pending[:, 0]) / (hi - lo)
-        excess = errs / (QUAD_REL_TOL * np.where(total > 0.0, total, np.inf))
-        excess = excess.reshape(len(pending), -1).max(axis=1, initial=0.0) / share
+        excess = (errs / tol).reshape(len(pending), -1).max(axis=1, initial=0.0) / share
         split = excess > 1.0
         if not split.any():
             split = excess == excess.max()
@@ -819,18 +816,18 @@ class Density(MeasureSpec):
         failed = np.isnan(log_mu) | (log_mu == np.inf)
         return log_mu[: np.argmax(failed)] if failed.any() else log_mu
 
-    def decay_lower(self) -> DecayBound | None:
-        return self._witness_bound
+    def decay_bounds(self) -> tuple[DecayBound | None, DecayBound | None]:
+        return self._decay_bounds
 
-    @functools.cached_property  # every series and sup verdict asks for it
-    def _witness_bound(self) -> DecayBound | None:
-        # witness interval [lo, mid]: mu_n >= mass([lo, mid]) * mid**-(n+1)
+    @functools.cached_property  # every series and sup verdict asks for them
+    def _decay_bounds(self) -> tuple[DecayBound | None, DecayBound | None]:
+        # t >= lo on the support gives mu_n <= mu_0 lo**-n, of use for lo >= 1; the
+        # witness interval [lo, mid] gives mu_n >= mass([lo, mid]) * mid**-(n+1)
         lo, hi = self.support
         mid = (lo + hi) / 2.0
         mass = float(self.mass_below(mid))
-        if mass <= 0.0:
-            return None
-        return DecayBound(ratio=1.0 / mid, power=0.0, log_const=math.log(mass / mid))
+        return (DecayBound(1.0 / lo, 0.0, math.log(self.mu0)) if lo >= 1.0 else None,
+                DecayBound(1.0 / mid, 0.0, math.log(mass / mid)) if mass > 0.0 else None)
 
     def to_json_dict(self) -> dict:
         raise ValueError("generic densities have no JSON form; use a named kind")
@@ -891,17 +888,12 @@ class MellinConvolution(MeasureSpec):
         n = min(len(left), len(right))
         return _read_only(left[:n] + right[:n])
 
-    @staticmethod
-    def _combine(a: DecayBound | None, b: DecayBound | None) -> DecayBound | None:
-        if a is None or b is None:
-            return None
-        return DecayBound(a.ratio * b.ratio, a.power + b.power, a.log_const + b.log_const)
-
-    def decay_upper(self) -> DecayBound | None:
-        return self._combine(self.left.decay_upper(), self.right.decay_upper())
-
-    def decay_lower(self) -> DecayBound | None:
-        return self._combine(self.left.decay_lower(), self.right.decay_lower())
+    def decay_bounds(self) -> tuple[DecayBound | None, DecayBound | None]:
+        # the moments multiply factorwise, and so do their envelopes
+        return tuple(
+            None if a is None or b is None
+            else DecayBound(a.ratio * b.ratio, a.power + b.power, a.log_const + b.log_const)
+            for a, b in zip(self.left.decay_bounds(), self.right.decay_bounds()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -953,13 +945,10 @@ class Scaled(MeasureSpec):
         mu0, tag = self.inner._mass0
         return self.c * mu0, tag
 
-    def decay_upper(self) -> DecayBound | None:
-        b = self.inner.decay_upper()
-        return None if b is None else DecayBound(b.ratio, b.power, math.log(self.c) + b.log_const)
-
-    def decay_lower(self) -> DecayBound | None:
-        b = self.inner.decay_lower()
-        return None if b is None else DecayBound(b.ratio, b.power, math.log(self.c) + b.log_const)
+    def decay_bounds(self) -> tuple[DecayBound | None, DecayBound | None]:
+        return tuple(
+            None if b is None else DecayBound(b.ratio, b.power, math.log(self.c) + b.log_const)
+            for b in self.inner.decay_bounds())
 
     def to_json_dict(self) -> dict:
         return {"type": "scaled", "c": self.c, "inner": self.inner.to_json_dict()}
@@ -1017,21 +1006,23 @@ def dirac(t: float) -> PointMasses:
     return PointMasses([(t, t)])
 
 
-def geometric_atoms(lam: float, ratio: float, tol: float = 1e-16) -> PointMasses:
+def geometric_atoms(lam: float, ratio: float) -> PointMasses:
     """Truncation of sum over k >= 1 of lam**k * delta(ratio**k).
 
     Needs 0 < lam < 1 and ratio >= 1; the dropped tail of mu_0 is below
-    tol relative.  DomainError when that takes more than GEOMETRIC_ATOMS_MAX
-    atoms, or when the last position ratio**k_max is past double range.
+    GEOMETRIC_TAIL relative.  DomainError when that takes more than
+    GEOMETRIC_ATOMS_MAX atoms, or when the last position ratio**k_max is past
+    double range.
     """
     lam = _as_positive(lam, "weight base")
     ratio = _as_positive(ratio, "position ratio")
     if lam >= 1.0 or ratio < 1.0:
         raise ValueError("need 0 < lam < 1 and ratio >= 1")
     x = lam / ratio
-    k_max = max(4, int(math.ceil(math.log(tol * (1 - x)) / math.log(x))))
+    k_max = max(4, int(math.ceil(math.log(GEOMETRIC_TAIL * (1 - x)) / math.log(x))))
     if k_max > GEOMETRIC_ATOMS_MAX:
-        raise DomainError(f"the tail {tol:g} needs {k_max} atoms, more than {GEOMETRIC_ATOMS_MAX}")
+        raise DomainError(f"the tail {GEOMETRIC_TAIL:g} needs {k_max} atoms, "
+                          f"more than {GEOMETRIC_ATOMS_MAX}")
     tail = x ** (k_max + 1) / (1 - x)
     try:
         return truncated_atom_family(

@@ -217,6 +217,36 @@ def test_norm_past_double_range_is_a_precondition_failure(flags, capsys):
     assert err.count("\n") == 1 and err.startswith("fockhaus: DomainError: ")
 
 
+def _descriptor(value, path) -> str:
+    """value if it is a descriptor, else the path of a JSON file that now holds it."""
+    if isinstance(value, str):
+        return value
+    path.write_text(json.dumps(value), encoding="utf-8")
+    return str(path)
+
+
+_POWER_BETA = {"type": "mellin", "left": {"type": "density", "kind": "power_tail", "a": 1.5},
+               "right": {"type": "density", "kind": "beta_tail", "a": 2.0, "b": 0.5}}
+
+
+@pytest.mark.parametrize("measure_name, fn", [
+    # every value of f is finite, a panel's weighted sum is not: the quadrature formed
+    # inf - inf, warned, and exited 1 on an empty reduction
+    ("beta:80995.536:0.0016884926853706593", {"coeffs": [[1e300, 0.0]] * 21}),
+    ("beta:0.6338:0.00927", {"coeffs": [[1e300, 0.0]] * 21}),
+    # the rules of four atomless factors nest, so the grid grows as the fourth power of
+    # their nodes: this ran for minutes before the quadrature action had a work budget
+    ({"type": "mellin", "left": _POWER_BETA, "right": _POWER_BETA}, "monomial:20"),
+], ids=["sum-past-range", "sum-past-range-2", "four-tails"])
+def test_a_quadrature_the_rules_cannot_finish_is_a_precondition_failure(measure_name, fn,
+                                                                          tmp_path):
+    code, out, err = _run_in_process([
+        "apply", "--measure", _descriptor(measure_name, tmp_path / "m.json"),
+        "--fn", _descriptor(fn, tmp_path / "f.json"), "--mode", "quadrature", "--at", "2"])
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("fockhaus: DomainError: ")
+
+
 def test_kernel_past_the_truncation_cap_is_a_precondition_failure(capsys):
     # the kernel's scale beta |a| radius is inf: int(inf) raised OverflowError
     with warnings.catch_warnings():
@@ -324,6 +354,72 @@ def test_classify_and_report_keep_the_exit_code_contract(command, m, p, q, weigh
     if code == 0:
         assert err == ""
         json.loads(out, parse_constant=_refuse_constant)
+
+
+# -- moments and apply under generated inputs ---------------------------------------------
+
+_POSITIONS = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_LEAVES = st.one_of(
+    st.lists(st.tuples(_log_uniform(1e-3, 1e3), _POSITIONS), min_size=1, max_size=3).map(
+        lambda atoms: {"type": "point_masses", "atoms": atoms}),
+    _log_uniform(1e-3, 1e6).map(lambda a: {"type": "density", "kind": "power_tail", "a": a}),
+    st.tuples(_log_uniform(1e-3, 1e6), _log_uniform(1e-3, 1e3)).map(
+        lambda ab: {"type": "density", "kind": "beta_tail", "a": ab[0], "b": ab[1]}),
+)
+
+
+def _products(factors):
+    return st.one_of(
+        st.tuples(factors, factors).map(lambda lr: {"type": "mellin", "left": lr[0],
+                                                    "right": lr[1]}),
+        st.tuples(_log_uniform(1e-3, 1e3), factors).map(lambda ci: {"type": "scaled", "c": ci[0],
+                                                                    "inner": ci[1]}),
+    )
+
+
+_ACTION_MEASURES = st.one_of(_MEASURES, _products(st.one_of(_LEAVES, _products(_LEAVES))))
+_ACTION_FUNCTIONS = st.one_of(_FUNCTIONS, st.integers(0, 40).map(lambda n: f"peak:{n}"))
+_POINTS = st.sampled_from(["2", "0.5+0.5j", "1,0.5+0.5j", "-3j,1e-5", "1,5e-6"])
+
+
+@pytest.fixture(scope="module")
+def action_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("action")
+    return folder / "measure.json", folder / "f.json"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(["moments", "spectral", "quadrature"]), m=_ACTION_MEASURES,
+       n=st.integers(0, 64), fn=_ACTION_FUNCTIONS, at=_POINTS)
+# a weighted sum past double range: inf - inf, a warning and exit 1
+@example("quadrature", "beta:80995.536:0.0016884926853706593", 10, [(1e300, 0.0)] * 21, "2")
+# an image below the normal range: the relative tolerance underflowed, warned, and either
+# exited 1 or chased the rules to the panel cap
+@example("quadrature", "beta:2:0.5", 10, "monomial:60", "1,5e-6")
+def test_moments_and_apply_keep_the_exit_code_contract(action_files, command, m, n, fn, at):
+    measure_file, fn_file = action_files
+    m = _descriptor(m, measure_file)
+    fn = _descriptor(fn if isinstance(fn, str) else {"coeffs": fn}, fn_file)
+    if command == "moments":
+        argv = ["moments", "--measure", m, "--n", str(n)]
+    else:
+        argv = ["apply", "--measure", m, "--fn", fn, "--mode", command, f"--at={at}"]
+    code, out, err = _run_in_process(argv)
+    if code != 0:
+        return
+    assert err == ""
+    if command == "moments":  # a moment past double range prints inf, never nan
+        values = [float(v) for v in out.strip().split(", ")]
+        assert len(values) == n + 1 and not any(math.isnan(v) for v in values)
+    elif command == "spectral":
+        coeffs = json.loads(out, parse_constant=_refuse_constant)["coeffs"]
+        assert all(isinstance(x, float) and math.isfinite(x) for c in coeffs for x in c)
+    else:
+        lines = out.splitlines()
+        assert len(lines) == len(at.split(","))
+        for line in lines:
+            value = complex(line.split(" -> ")[1].replace(" ", ""))
+            assert math.isfinite(value.real) and math.isfinite(value.imag)
 
 
 # -- cold start: no path loads scipy ---------------------------------------------------------

@@ -1,3 +1,5 @@
+import cmath
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -48,9 +50,7 @@ class TestKernel:
             ratio = k.coeffs[n + 1] / k.coeffs[n]
             assert ratio == pytest.approx(beta * np.conj(a) / (n + 1), rel=1e-12)
 
-    def test_truncation_error_when_degree_too_small(self):
-        with pytest.raises(entire.TruncationError):
-            entire.kernel(1.0, 1.0, n_max=3, radius=10.0)
+    def test_truncation_error_past_the_degree_cap(self):
         with pytest.raises(entire.TruncationError):
             entire.kernel(5.0, 10.0, radius=12.0)  # needs degree beyond the cap
 
@@ -91,7 +91,7 @@ class TestRademacher:
     def test_all_plus_signs(self):
         f = entire.CoeffFunction([1.0, -2.0, 3.0j])
         g = entire.rademacher_randomize(f, [1, 1, 1])
-        assert g == f
+        assert np.array_equal(g.coeffs, f.coeffs)
 
     def test_single_flip(self):
         u3 = entire.monomial(3)
@@ -155,8 +155,8 @@ class TestCoeffFunction:
 
     def test_json_round_trip(self):
         f = entire.CoeffFunction([1.0 + 2.0j, 0.5])
-        g = entire.from_json(f.to_json())
-        assert g == f
+        g = entire.from_json_dict(json.loads(json.dumps(f.to_json_dict())))
+        assert np.array_equal(g.coeffs, f.coeffs)
         assert f.to_json_dict() == {"coeffs": [[1.0, 2.0], [0.5, 0.0]]}
 
     @pytest.mark.parametrize("z", [0.7 + 0.2j, 2.0, 0, np.float64(-1.5), np.complex128(3j),
@@ -197,7 +197,7 @@ class TestLogHelpers:
         # |c_n| = scale**n / n! in exact arithmetic on the double scale; a = 1 makes the
         # phase exactly 1.  Entries past the normal range round to the subnormal grid,
         # so only normal ones are compared
-        mags = np.abs(entire.kernel(scale, 1.0, n_max=250, radius=1.0).coeffs)
+        mags = np.abs(entire._exp_coeffs(scale, 0.0, 250))
         worst = 0.0
         for n, got in enumerate(mags):
             exact = Fraction(scale) ** n / math.factorial(n)
@@ -209,7 +209,7 @@ class TestLogHelpers:
         # a = 7.3 has phase exactly 1, so every coefficient is the real 7.3**n / n!; a
         # phase formed as conj(a) / |a| read 0.9999999999999999 and put 2.8e-14 on c_250
         worst = 0.0
-        for n, got in enumerate(entire.kernel(1.0, 7.3, n_max=250, radius=1.0).coeffs):
+        for n, got in enumerate(entire._exp_coeffs(7.3, 0.0, 250)):
             exact = Fraction(7.3) ** n / math.factorial(n)
             assert got.imag == 0.0
             worst = max(worst, float(abs(Fraction(got.real) - exact) / exact))
@@ -218,7 +218,7 @@ class TestLogHelpers:
         # (beta**2 |a|**2)**n / n!**2.  The argument -n theta carries n roundings of theta,
         # so the moduli are compared
         worst = 0.0
-        for n, got in enumerate(entire.kernel(1.5, 3.0 + 4.0j, n_max=250, radius=1.0).coeffs):
+        for n, got in enumerate(entire._exp_coeffs(1.5 * 5.0, cmath.phase(3.0 + 4.0j), 250)):
             exact2 = Fraction(56.25) ** n / math.factorial(n) ** 2
             got2 = Fraction(got.real) ** 2 + Fraction(got.imag) ** 2
             worst = max(worst, abs(math.sqrt(float(got2 / exact2)) - 1.0))

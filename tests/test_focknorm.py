@@ -119,7 +119,7 @@ class TestFockNorm:
             assert fock_norm(f, p, 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_kernel_with_subnormal_tail_coefficients(self):
-        k = entire.kernel(2.0, 5.0, n_max=300)
+        k = entire.CoeffFunction(entire._exp_coeffs(10.0, 0.0, 300))  # kernel(2, 5) to degree 300
         assert np.abs(k.coeffs[-1]) < np.finfo(float).tiny
         assert fock_norm(k, 1.0, 1.0) == pytest.approx(math.exp(50.0), rel=1e-10)
 

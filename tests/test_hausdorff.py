@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fockhaus import entire, measure as msr
 from fockhaus.focknorm import INF, log_monomial_norm
 from fockhaus.hausdorff import (
+    RAYLEIGH_N,
     DomainError,
     HausdorffOperator,
     IllDefined,
@@ -248,21 +249,21 @@ class TestDilationBounds:
 
 class TestDilationEstimate:
     def test_equal_exponents_give_one(self):
-        assert dilation_opnorm_estimate(1.3, 2.0, 2.0, 1.0) == pytest.approx(1.0)
-        _, argmax = _dilation_rayleigh(1.3, 2.0, 2.0, 1.0, 100)
+        assert dilation_opnorm_estimate(1.3, 2.0, 2.0) == pytest.approx(1.0)
+        _, argmax = _dilation_rayleigh(1.3, 2.0, 2.0)
         assert argmax == 0
 
     def test_argmax_against_bruteforce_oracle(self):
         # oracle: direct scan of -n log t + log||u_n||_1 - log||u_n||_inf
-        t, n_max = 1.01, 400
+        t = 1.01
         vals = [
             -n * math.log(t)
             + log_monomial_norm(n, 1.0, 1.0)
             - log_monomial_norm(n, INF, 1.0)
-            for n in range(n_max + 1)
+            for n in range(RAYLEIGH_N + 1)
         ]
         oracle_argmax = int(np.argmax(vals))
-        est, argmax = _dilation_rayleigh(t, 1.0, INF, 1.0, n_max)
+        est, argmax = _dilation_rayleigh(t, 1.0, INF)
         assert argmax == oracle_argmax
         assert est == pytest.approx(math.exp(max(vals)), rel=1e-12)
         # the maximizer sits near a / log t with a = 1/2, not near 1/(t-1)
@@ -273,11 +274,11 @@ class TestDilationEstimate:
         # existential; the recorded factor is a regression value)
         for p, q in ((1.0, 2.0), (2.0, INF)):
             for t in (1.02, 1.05, 1.1):
-                est = dilation_opnorm_estimate(t, p, q, 1.0, n_max=400)
+                est = dilation_opnorm_estimate(t, p, q)
                 b = dilation_opnorm_bounds(t, p, q)
                 assert est <= b.upper * 2.0
                 assert est >= b.lower * 0.3
 
     def test_rejects_t_below_one(self):
         with pytest.raises(ValueError):
-            dilation_opnorm_estimate(0.9, 1.0, 2.0, 1.0)
+            dilation_opnorm_estimate(0.9, 1.0, 2.0)

@@ -257,6 +257,15 @@ class TestQuadEngine:
         with pytest.raises(msr.DivergentMoment):
             msr._integrate(func, 0.0, hi)
 
+    @pytest.mark.parametrize("h", [
+        lambda x: np.full(len(x), 1e308),  # each value finite, their sum over (0, 4) not
+        lambda x: np.full(len(x), 1e308 + 1e308j),  # finite parts, a modulus past range
+    ], ids=["real", "complex"])
+    def test_a_sum_past_double_range_is_a_domain_error(self, h):
+        # the two rules' sums were inf, their difference nan, and no panel was split
+        with pytest.raises(msr.DomainError):
+            msr._integrate(h, 0.0, 4.0)
+
     def test_a_density_reaching_infinity_is_refused(self):
         # a density with hi = inf has no tail bound in u; the benchmark's density-inf probe
         with pytest.raises(msr.DivergentMoment):
@@ -407,30 +416,48 @@ class TestInvariants:
 
 
 class TestDecayBounds:
+    """lo(n) <= mu_n <= up(n) for the (upper, lower) envelopes of every measure class."""
+
+    @staticmethod
+    def _check(m, n_terms=60, upper=True):
+        up, lo = m.decay_bounds()
+        for n in range(n_terms):
+            mu = msr.moment(m, n)
+            if upper:
+                assert mu <= up.pointwise(n) * (1 + 1e-12), (m, n)
+            assert mu >= lo.pointwise(n) * (1 - 1e-12), (m, n)
+
     def test_power_tail_envelope(self):
         for a in (0.5, 1.0, 3.0):
-            m = msr.PowerTailDensity(a)
-            up, lo = m.decay_upper(), m.decay_lower()
-            for n in range(60):
-                mu = msr.moment(m, n)
-                assert mu <= up.pointwise(n) * (1 + 1e-12)
-                assert mu >= lo.pointwise(n) * (1 - 1e-12)
+            self._check(msr.PowerTailDensity(a))
 
     def test_beta_tail_envelope(self):
         for a, b in ((2.0, 1.5), (2.0, 0.5), (1.0, 1.8), (4.0, 3.0), (-0.3, 0.5), (0.1, 0.95)):
-            m = msr.BetaTailDensity(a, b)
-            up, lo = m.decay_upper(), m.decay_lower()
-            for n in range(80):
-                mu = msr.moment(m, n)
-                assert mu <= up.pointwise(n) * (1 + 1e-12), (a, b, n)
-                assert mu >= lo.pointwise(n) * (1 - 1e-12), (a, b, n)
+            self._check(msr.BetaTailDensity(a, b), n_terms=80)
 
     def test_atom_envelope(self):
-        m = msr.PointMasses([(0.5, 1.5), (0.25, 4.0)])
-        up, lo = m.decay_upper(), m.decay_lower()
-        for n in range(40):
-            mu = msr.moment(m, n)
-            assert lo.pointwise(n) * (1 - 1e-12) <= mu <= up.pointwise(n) * (1 + 1e-12)
+        self._check(msr.PointMasses([(0.5, 1.5), (0.25, 4.0)]), n_terms=40)
+
+    @pytest.mark.parametrize("m", [
+        msr.MellinConvolution(msr.PowerTailDensity(1.5), msr.BetaTailDensity(2.0, 0.5)),
+        msr.MellinConvolution(msr.PointMasses([(0.5, 1.5), (0.25, 4.0)]),
+                              msr.PowerTailDensity(2.0)),
+        msr.Scaled(3.0, msr.BetaTailDensity(4.0, 3.0)),
+        msr.Scaled(0.25, msr.geometric_atoms(0.5, 1.5)),
+        msr.geometric_atoms(0.5, 2.0),
+        msr.geometric_atoms(0.9, 1.0),
+    ], ids=["power*beta", "atoms*power", "3beta", "geom/4", "geom", "geom-at-1"])
+    def test_composite_and_geometric_envelopes(self, m):
+        self._check(m)
+
+    def test_density_envelopes(self):
+        # a support reaching below 1 certifies no upper envelope, only the lower one of
+        # the witness interval [lo, mid]; inside [1.2, 3] the support infimum gives
+        # the geometric upper one
+        below = msr.Density(np.sqrt, (0.5, 2.0))
+        assert below.decay_bounds()[0] is None
+        self._check(below, upper=False)
+        self._check(msr.Density(lambda t: 1.0 + np.sin(t), (1.2, 3.0)))
 
 
 class TestJson:
@@ -453,7 +480,7 @@ class TestJson:
     def test_round_trip(self):
         for case in self.CASES:
             m = msr.from_json_dict(case)
-            again = msr.from_json_dict(json.loads(m.to_json()))
+            again = msr.from_json_dict(json.loads(json.dumps(m.to_json_dict())))
             assert again.to_json_dict() == m.to_json_dict() == case
 
     def test_round_trip_keeps_atom_certificates(self):
