@@ -12,7 +12,6 @@ from .entire import (
 from .focknorm import (
     INF,
     FockParams,
-    circle_mean,
     coeff_weighted_lp,
     fock_norm,
     kernel_norm_closed,
@@ -45,12 +44,10 @@ from .measure import (
     dirac,
     geometric_atoms,
     hardy_measure,
-    moment,
     moments,
     named_measure,
     normalize,
     support_report,
-    truncated_atom_family,
 )
 from .classify import (
     ClassReport,

@@ -26,25 +26,31 @@ def _fmt(x: float) -> str:
 
 
 def _parse_exponent(text: str) -> float:
-    if text in ("inf", "Inf", "INF", "infinity"):
-        return INF
-    value = float(text)
+    value = float(text)  # reads every spelling of inf
     if value <= 0:
         raise argparse.ArgumentTypeError("exponents must be positive or 'inf'")
     return value
 
 
+def _read_json(path: str, from_json_dict):
+    """from_json_dict of the JSON at path; a value of the wrong shape is a ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    try:
+        return from_json_dict(data)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path} holds JSON of the wrong shape: {exc}") from None
+
+
 def _load_measure(descriptor: str) -> measure.MeasureSpec:
     if os.path.exists(descriptor):
-        with open(descriptor, "r", encoding="utf-8") as fh:
-            return measure.from_json_dict(json.load(fh))
+        return _read_json(descriptor, measure.from_json_dict)
     return measure.named_measure(descriptor)
 
 
 def _load_function(descriptor: str, alpha: float) -> entire.CoeffFunction:
     if os.path.exists(descriptor):
-        with open(descriptor, "r", encoding="utf-8") as fh:
-            return entire.from_json_dict(json.load(fh))
+        return _read_json(descriptor, entire.from_json_dict)
     parts = descriptor.split(":")
     head = parts[0]
     if head == "monomial" and len(parts) == 2:
@@ -93,7 +99,6 @@ def _build_parser() -> _Parser:
 
     p_norm = sub.add_parser("norm", help="Fock / mixed-norm of a function")
     add_fock_flags(p_norm, need_fn=True)
-    p_norm.add_argument("--method", choices=("auto", "quadrature"), default="auto")
 
     p_cls = sub.add_parser("classify", help="run every applicable criterion")
     p_cls.add_argument("--measure", required=True)
@@ -167,7 +172,7 @@ def main(argv=None) -> int:
         elif args.command == "norm":
             f = _load_function(args.fn, args.alpha)
             q = args.p if args.q is None else args.q
-            print(_fmt(mixed_norm(f, FockParams(args.p, q, args.alpha), method=args.method)))
+            print(_fmt(mixed_norm(f, FockParams(args.p, q, args.alpha))))
         elif args.command == "classify":
             m = _load_measure(args.measure)
             reports = _classification_reports(m, args.p, args.q, args.alpha, args.weight)

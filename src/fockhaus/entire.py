@@ -84,10 +84,13 @@ class TruncationError(Exception):
 
 
 class CoeffFunction:
-    """An entire function given by coefficients a_0..a_N (trailing zeros trimmed)."""
+    """An entire function given by coefficients a_0..a_N (trailing zeros trimmed),
+    at least one and all finite."""
 
     def __init__(self, coeffs, label: str | None = None):
         arr = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+        if not (arr.size and np.isfinite(arr).all()):
+            raise ValueError("a function needs at least one coefficient, all of them finite")
         nz = np.nonzero(arr)[0]
         if len(nz) == 0:
             arr = arr[:1] * 0.0
@@ -165,9 +168,9 @@ def kernel(beta: float, a: complex, radius: float = 8.0) -> CoeffFunction:
     The degree is the smallest that keeps the dropped tail below 1e-14 relative
     to the peak value on |z| <= radius; a degree beyond 500 raises TruncationError.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     a = complex(a)
+    if not (beta > 0 and math.isfinite(beta) and cmath.isfinite(a)):
+        raise ValueError(f"need a finite beta > 0 and a finite a, got {beta!r} and {a!r}")
     x = beta * abs(a) * radius
     n_deg = _exp_series_degree(x, 1e-14, 500)
     if a == 0:

@@ -19,8 +19,8 @@ sum |b_n|**2 n!/(alpha*k)**n exactly.  fock_norm at p = 2k takes that sum
 and builds no radial rule; the mixed (2k, q) and (2k, inf) norms take the
 Parseval means.  For k > 1, f**k comes from k - 1 convolutions while it has
 at most PARSEVAL_MAX_TERMS terms; past that, p = 2k takes the FFT means below.
-method="quadrature" keeps the radial rule at every p, so the rule has an
-exact oracle at every even p.
+_log_radial_integral(coeffs, p, p, alpha) / p is the radial rule at any p,
+so at every even p the rule has an exact oracle.
 
 Circle means factor out z**m, m the index of the first nonzero coefficient
 (|z**m h(z)| = r**m |h(z)| on |z| = r), so c*z**n costs one 64-angle level.
@@ -41,8 +41,7 @@ within twice the FFT's rounding floor, and a p = inf row is Newton-polished
 only if its relevance lets the grid maximum's error reach the norm.  Rows
 that stop early then move the log of the integral's q-th root by at most
 2*10*ABS_TOL, and the sup by nothing, beyond the rounding floor.  A call
-without weights (circle_mean, the contraction suite) gives every row
-relevance 1.
+without weights (the contraction suite) gives every row relevance 1.
 """
 
 from __future__ import annotations
@@ -163,13 +162,6 @@ def _fft_len(n: int) -> int:
     return best
 
 
-def _log_abs(coeffs: np.ndarray) -> np.ndarray:
-    out = np.full(len(coeffs), -np.inf)
-    nz = coeffs != 0
-    out[nz] = np.log(np.abs(coeffs[nz]))
-    return out
-
-
 def _log_pos(x: np.ndarray) -> np.ndarray:
     """log x where x > 0, -inf elsewhere."""
     return np.log(x, out=np.full_like(x, -np.inf), where=x > 0)
@@ -177,7 +169,7 @@ def _log_pos(x: np.ndarray) -> np.ndarray:
 
 def _log_terms(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """log|c_n r**n|, one row per radius and one column per index n."""
-    la = _log_abs(coeffs)
+    la = _log_pos(np.abs(coeffs))
     n = np.arange(len(coeffs), dtype=float)
     logr = _log_pos(radii)
     with np.errstate(invalid="ignore"):
@@ -340,7 +332,7 @@ def _power_coeffs(coeffs: np.ndarray, k: int, log_rho: float):
     loses at most _TINY per scaled coefficient, per product and per division;
     an error e in the running power becomes at most e*sum|c_n| in the next one.
     """
-    la = _log_abs(coeffs) + np.arange(len(coeffs)) * log_rho
+    la = _log_pos(np.abs(coeffs)) + np.arange(len(coeffs)) * log_rho
     log_scale = la.max()
     c = np.exp(la - log_scale) * unit_phases(coeffs)
     s = float(np.sum(np.abs(c)))
@@ -377,7 +369,7 @@ def _log_mean_2(coeffs: np.ndarray, radii: np.ndarray, k: int = 1) -> np.ndarray
     if not coeffs.any():
         return np.full(len(radii), -np.inf)
     out = np.empty(len(radii))
-    out[radii == 0.0] = _log_abs(coeffs[:1])[0]  # M_p(f, 0) = |f(0)|
+    out[radii == 0.0] = _log_pos(np.abs(coeffs[:1]))[0]  # M_p(f, 0) = |f(0)|
     todo = np.flatnonzero(radii > 0.0)
     todo = todo[np.argsort(-radii[todo], kind="stable")]
     n = np.arange(k * (len(coeffs) - 1) + 1)
@@ -472,16 +464,6 @@ def _log_circle_means(coeffs: np.ndarray, p: float, radii: np.ndarray,
     return out
 
 
-def circle_mean(f: CoeffFunction, p: float, r: float) -> float:
-    """M_p(f, r).  Every even p is Parseval-exact on f**(p/2) (see _even_k),
-    p = inf is a polished maximum."""
-    p = _check_exponent(p)
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    _check_floor(p)
-    return _exp(_log_circle_means(f.coeffs, p, np.array([r]))[0], "circle mean")
-
-
 def _log_radial_sup(coeffs: np.ndarray, p: float, alpha: float) -> float:
     """log sup_r M_p(f,r) * exp(-alpha r^2 / 2): radial grid, then bracket rounds.
 
@@ -572,45 +554,43 @@ def _log_even_norm(coeffs: np.ndarray, k: int, alpha: float) -> float:
     """
     log_alpha_k = math.log(alpha) + math.log(k)
     if k == 1 or not coeffs.any():
-        return _log_coeff_lp(_log_abs(coeffs), 2.0, log_alpha_k)
+        return _log_coeff_lp(_log_pos(np.abs(coeffs)), 2.0, log_alpha_k)
     n = np.arange(k * (len(coeffs) - 1) + 1, dtype=float)
     log_fact = log_factorials(len(n) - 1)
     log_x = log_fact[-1] / n[-1] if len(n) > 1 else 0.0
     log_rho = 0.5 * (log_x - log_alpha_k)
     b, log_scale, log_err = _power_coeffs(coeffs, k, log_rho)
-    out = _log_coeff_lp(_log_abs(b) + (log_scale - n * log_rho), 2.0, log_alpha_k)
+    out = _log_coeff_lp(_log_pos(np.abs(b)) + (log_scale - n * log_rho), 2.0, log_alpha_k)
     slack = 0.5 * logsumexp(log_fact - n * log_x)
     if not out >= log_err + log_scale + slack + _PARSEVAL_MARGIN:
         return math.nan
     return out / k
 
 
-def _log_norm(coeffs: np.ndarray, p: float, q: float, alpha: float, method: str) -> float:
+def _log_norm(coeffs: np.ndarray, p: float, q: float, alpha: float) -> float:
     """log ||f||_{p,q,alpha}, the one place a route is chosen: q = inf is the sup
-    search; p = q = 2k with method "auto" the exact Parseval sum of f**k
-    (_log_even_norm) while _even_k allows; everything else, and a sum that
-    underflow leaves uncertain, the q-th root of the radial integral."""
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
+    search; p = q = 2k the exact Parseval sum of f**k (_log_even_norm) while
+    _even_k allows; everything else, and a sum that underflow leaves uncertain,
+    the q-th root of the radial integral."""
     _check_floor(p, q)
     if q == INF:
         return _log_radial_sup(coeffs, p, alpha)
     k = _even_k(p, len(coeffs))
-    if p == q and k and method == "auto":
+    if p == q and k:
         out = _log_even_norm(coeffs, k, alpha)
         if not math.isnan(out):
             return out
     return _log_radial_integral(coeffs, p, q, alpha) / q
 
 
-def fock_norm(f: CoeffFunction, p: float, alpha: float, method: str = "auto") -> float:
+def fock_norm(f: CoeffFunction, p: float, alpha: float) -> float:
     """||f||_{p,alpha}, the mixed norm at q = p; _log_norm names the routes."""
-    return mixed_norm(f, FockParams(p, p, alpha), method=method)
+    return mixed_norm(f, FockParams(p, p, alpha))
 
 
-def mixed_norm(f: CoeffFunction, params: FockParams, method: str = "auto") -> float:
+def mixed_norm(f: CoeffFunction, params: FockParams) -> float:
     """||f||_{p,q,alpha}, with q = inf the weighted sup; _log_norm names the routes."""
-    return _exp(_log_norm(f.coeffs, params.p, params.q, params.alpha, method), "norm")
+    return _exp(_log_norm(f.coeffs, params.p, params.q, params.alpha), "norm")
 
 
 def log_monomial_norm(n: int, p: float, alpha: float) -> float:
@@ -659,4 +639,5 @@ def coeff_weighted_lp(f: CoeffFunction, p: float, alpha: float,
                       gamma: float = 0.0) -> float:
     """l_p norm of the sequence a_n * sqrt(n!/alpha^n) * (n+1)**gamma."""
     p, alpha = _check_exponent(p), _check_alpha(alpha)
-    return _exp(_log_coeff_lp(_log_abs(f.coeffs), p, math.log(alpha), gamma), "weighted l_p norm")
+    log_norm = _log_coeff_lp(_log_pos(np.abs(f.coeffs)), p, math.log(alpha), gamma)
+    return _exp(log_norm, "weighted l_p norm")

@@ -352,13 +352,8 @@ def _example_measures() -> dict[str, msr.MeasureSpec]:
         "hardy": msr.hardy_measure(),
         "dirac1": msr.dirac(1.0),
         "bump-below-1": msr.Density(lambda t: 1.0, (0.5, 1.0), label="unit bump"),
-        "atoms-1+1/k": msr.truncated_atom_family(
-            lambda k: 2.0**-k,
-            lambda k: 1.0 + 1.0 / k,
-            k_max=60,
-            tail_bound=2.0**-60,
-            inf_support=1.0,
-        ),
+        "atoms-1+1/k": msr.PointMasses([(2.0**-k, 1.0 + 1.0 / k) for k in range(1, 61)],
+                                       declared_inf_support=1.0, tail_certificate=2.0**-60),
         "mellin-hardy2": msr.MellinConvolution(msr.hardy_measure(), msr.hardy_measure()),
         "atom-at-1-family": msr.PointMasses([(0.5, 1.0), (0.25, 2.0), (0.125, 4.0)]),
         "geom": msr.geometric_atoms(0.5, 2.0),

@@ -145,24 +145,14 @@ def dilation_opnorm_bounds(t: float, p: float, q: float) -> DilationBounds:
 RAYLEIGH_N = 600  # the monomial degrees 0..RAYLEIGH_N that the estimate scans
 
 
-def _dilation_rayleigh(t: float, p: float, q: float) -> tuple[float, int]:
-    """max over n <= RAYLEIGH_N of t**-n ||u_n||_p / ||u_n||_q, with the argmax; both
-    norms carry alpha**(-n/2), so the quotient is the one at alpha = 1."""
-    log_t = math.log(t)
-    best, best_n = -np.inf, 0
-    for n in range(RAYLEIGH_N + 1):
-        val = -n * log_t + log_monomial_norm(n, p, 1.0) - log_monomial_norm(n, q, 1.0)
-        if val > best:
-            best, best_n = val, n
-    return math.exp(best), best_n
-
-
 def dilation_opnorm_estimate(t: float, p: float, q: float) -> float:
     """Certified lower bound on the dilation norm from exponent q down to p: the
-    largest monomial quotient of _dilation_rayleigh, the same at every alpha."""
+    largest monomial quotient t**-n ||u_n||_p / ||u_n||_q over n <= RAYLEIGH_N.
+    Both norms carry alpha**(-n/2), so it is the same at every alpha."""
     p = _check_exponent(p, "p")
     q = _check_exponent(q, "q")
     if t <= 1.0:
         raise ValueError("need t > 1")
-    value, _ = _dilation_rayleigh(t, p, q)
-    return value
+    log_t = math.log(t)
+    return math.exp(max(-n * log_t + log_monomial_norm(n, p, 1.0) - log_monomial_norm(n, q, 1.0)
+                        for n in range(RAYLEIGH_N + 1)))

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,11 +110,6 @@ class MomentSequence:
 
     values: list[float]
     methods: list[str]
-
-    @classmethod
-    def from_logs(cls, log_mu: np.ndarray, method: str) -> MomentSequence:
-        values = exp_moments(log_mu).tolist()
-        return cls(values=values, methods=[method] * len(values))
 
     def __getitem__(self, n: int) -> float:
         return self.values[n]
@@ -256,9 +251,9 @@ def _as_positive(x: float, what: str) -> float:
 class PointMasses(MeasureSpec):
     """Finite atomic measure sum of lam_k * delta(t_k), t_k > 0.
 
-    Atoms are merged at equal positions and kept sorted by position.
-    Infinite families enter through :func:`truncated_atom_family`, which
-    materializes a finite prefix under a user-supplied tail certificate.
+    Atoms are merged at equal positions and kept sorted by position.  An infinite
+    family enters as a finite prefix, ``tail_certificate`` bounding the dropped
+    mu_0 and ``declared_inf_support`` the infimum of the whole family's support.
     """
 
     def __init__(
@@ -339,26 +334,6 @@ class PointMasses(MeasureSpec):
 
     def __repr__(self) -> str:
         return f"PointMasses({list(self.atoms)!r})"
-
-
-def truncated_atom_family(
-    weight,
-    position,
-    k_max: int,
-    tail_bound: float,
-    inf_support: float | None = None,
-) -> PointMasses:
-    """Materialize the atom family (weight(k), position(k)) for k = 1..k_max.
-
-    ``tail_bound`` is the caller's certificate that the dropped tail satisfies
-    sum_{k > k_max} weight(k)/position(k) <= tail_bound.  ``inf_support`` may
-    declare the infimum of the ideal (untruncated) support, e.g. 1 for
-    positions accumulating at 1 from above.
-    """
-    atoms = [(weight(k), position(k)) for k in range(1, k_max + 1)]
-    return PointMasses(
-        atoms, declared_inf_support=inf_support, tail_certificate=float(tail_bound)
-    )
 
 
 class PowerTailDensity(MeasureSpec):
@@ -960,16 +935,10 @@ class Scaled(MeasureSpec):
 # -- top-level operations ----------------------------------------------------
 
 
-def moment(m: MeasureSpec, n: int) -> float:
-    """mu_n = integral of t**-(n+1) dmu(t)."""
-    if n < 0:
-        raise ValueError("moment index must be >= 0")
-    return m.weighted_mass(-float(n))[0]
-
-
 def moments(m: MeasureSpec, n_max: int) -> MomentSequence:
     """mu_0..mu_{n_max} with per-entry provenance tags."""
-    return MomentSequence.from_logs(m.log_moments(n_max)[: n_max + 1], m._mass0[1])
+    values = exp_moments(m.log_moments(n_max)[: n_max + 1]).tolist()
+    return MomentSequence(values=values, methods=[m._mass0[1]] * len(values))
 
 
 def support_report(m: MeasureSpec) -> SupportReport:
@@ -1025,9 +994,8 @@ def geometric_atoms(lam: float, ratio: float) -> PointMasses:
                           f"more than {GEOMETRIC_ATOMS_MAX}")
     tail = x ** (k_max + 1) / (1 - x)
     try:
-        return truncated_atom_family(
-            lambda k: lam**k, lambda k: ratio**k, k_max=k_max, tail_bound=tail
-        )
+        return PointMasses([(lam**k, ratio**k) for k in range(1, k_max + 1)],
+                           tail_certificate=tail)
     except OverflowError:  # from a position ratio**k
         raise DomainError(f"atom position {ratio:g}**{k_max} lies past double range") from None
 

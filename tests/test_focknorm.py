@@ -10,7 +10,6 @@ from fockhaus import entire, focknorm, harness
 from fockhaus.focknorm import (
     INF,
     FockParams,
-    circle_mean,
     coeff_weighted_lp,
     fock_norm,
     kernel_norm_closed,
@@ -24,6 +23,16 @@ from fockhaus.measure import DomainError
 def rand_poly(rng, degree):
     c = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
     return entire.CoeffFunction(c)
+
+
+def circle_mean(f, p, r):
+    """M_p(f, r): the log circle mean at one radius, through the one exit from logs."""
+    return focknorm._exp(focknorm._log_circle_means(f.coeffs, p, np.array([r]))[0], "circle mean")
+
+
+def radial_rule_norm(f, p, alpha):
+    """||f||_{p,alpha} from the radial rule at every p, the oracle of the Parseval sums."""
+    return focknorm._exp(focknorm._log_radial_integral(f.coeffs, p, p, alpha) / p, "norm")
 
 
 class TestCircleMean:
@@ -82,7 +91,7 @@ class TestFockNorm:
         assert monomial_norm_closed(2, 2.0, 1.0) == pytest.approx(
             math.sqrt(2.0), rel=1e-14
         )
-        assert fock_norm(entire.monomial(2), 2.0, 1.0, method="quadrature") == (
+        assert radial_rule_norm(entire.monomial(2), 2.0, 1.0) == (
             pytest.approx(math.sqrt(2.0), rel=1e-10)
         )
 
@@ -100,7 +109,7 @@ class TestFockNorm:
         for n in (0, 1, 7, 23):
             for p in (0.5, 1.0, 4.0):
                 for alpha in (0.5, 2.0):
-                    got = fock_norm(entire.monomial(n), p, alpha, method="quadrature")
+                    got = radial_rule_norm(entire.monomial(n), p, alpha)
                     assert got == pytest.approx(
                         monomial_norm_closed(n, p, alpha), rel=1e-10
                     )
@@ -129,7 +138,7 @@ class TestMixedNorm:
         rng = np.random.default_rng(2)
         f = rand_poly(rng, 9)
         for p in (0.5, 1.0, 2.0, 4.0):
-            quad_val = mixed_norm(f, FockParams(p, p, 1.0), method="quadrature")
+            quad_val = radial_rule_norm(f, p, 1.0)
             ref = fock_norm(f, p, 1.0)
             assert quad_val == pytest.approx(ref, rel=1e-10)
 
@@ -549,12 +558,13 @@ class TestEvenParseval:
             for flip in range(4):
                 signs = rng.choice([-1.0, 1.0], len(f.coeffs)) if flip else 1.0
                 coeffs = f.coeffs * signs
-                exact = focknorm._log_norm(coeffs, p, p, 1.0, "auto")
-                worst = max(worst, abs(exact - focknorm._log_norm(coeffs, p, p, 1.0, "quadrature")))
+                exact = focknorm._log_norm(coeffs, p, p, 1.0)
+                rule = focknorm._log_radial_integral(coeffs, p, p, 1.0) / p
+                worst = max(worst, abs(exact - rule))
                 # the same sum from f**k formed at a second scale, rho = 1
                 b, log_scale, _ = focknorm._power_coeffs(coeffs, k, 0.0)
                 n = np.arange(len(b))
-                terms = 2.0 * (focknorm._log_abs(b) + log_scale) + gammaln(n + 1) - n * math.log(k)
+                terms = 2.0 * (focknorm._log_pos(np.abs(b)) + log_scale) + gammaln(n + 1) - n * math.log(k)
                 second = focknorm.logsumexp(terms[np.isfinite(terms)]) / p
                 assert abs(second - exact) <= 1e-13
         assert worst <= 1e-13
@@ -572,7 +582,7 @@ class TestEvenParseval:
             assert got == pytest.approx(log_monomial_norm(n, p, 1.0), rel=1e-15)
         # p = 2 convolves nothing, so no length cap applies: this rule would need 16 730
         # nodes.  The norm, e**89036, is past double range, so its log is compared
-        got = focknorm._log_norm(entire.monomial(30000).coeffs, 2.0, 2.0, 1.0, "auto")
+        got = focknorm._log_norm(entire.monomial(30000).coeffs, 2.0, 2.0, 1.0)
         assert got == pytest.approx(log_monomial_norm(30000, 2.0, 1.0), rel=1e-15)
 
     def test_rounds_reach_radii_far_below_the_largest(self, monkeypatch):
@@ -596,8 +606,8 @@ class TestEvenParseval:
         # one round per row, each kept at its own scale
         np.testing.assert_allclose(focknorm._log_mean_2(coeffs, radii, 2), want, rtol=0, atol=1e-14)
         assert math.isnan(focknorm._log_even_norm(coeffs, 2, 1.0))
-        assert (focknorm._log_norm(coeffs, 4.0, 4.0, 1.0, "auto")
-                == focknorm._log_norm(coeffs, 4.0, 4.0, 1.0, "quadrature"))
+        assert (focknorm._log_norm(coeffs, 4.0, 4.0, 1.0)
+                == focknorm._log_radial_integral(coeffs, 4.0, 4.0, 1.0) / 4.0)
 
 
 class TestKernelNormClosed:
@@ -611,7 +621,7 @@ class TestKernelNormClosed:
 
     def test_beta_two_against_quadrature(self):
         k = entire.kernel(2.0, 1.0, radius=16.0)
-        got = fock_norm(k, 1.0, 1.0, method="quadrature")
+        got = radial_rule_norm(k, 1.0, 1.0)
         assert got == pytest.approx(math.exp(2.0), rel=1e-8)
         assert kernel_norm_closed(2.0, 1.0, 1.0, 1.0) == pytest.approx(
             math.exp(2.0), rel=1e-14
@@ -700,10 +710,6 @@ class TestValidation:
             fock_norm(entire.monomial(0), 2.0, -1.0)
         with pytest.raises(ValueError):
             FockParams(1.0, 2.0, 0.0)
-        with pytest.raises(ValueError):
-            fock_norm(entire.monomial(0), 2.0, 1.0, method="montecarlo")
-        with pytest.raises(ValueError):  # returned 1.414... at p != q
-            mixed_norm(entire.monomial(1), FockParams(1.0, 2.0, 1.0), method="montecarlo")
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
     def test_bad_alpha(self, alpha):
@@ -733,7 +739,7 @@ class TestValidation:
         # the q-th root cancelled: off by 2.3e-7 in the log at 1e-8, exactly 1 at 1e-20
         f = entire.monomial(3)
         for call in (lambda: fock_norm(f, p, 1.0), lambda: mixed_norm(f, FockParams(1.0, p, 1.0)),
-                     lambda: mixed_norm(f, FockParams(p, INF, 1.0)), lambda: circle_mean(f, p, 1.0)):
+                     lambda: mixed_norm(f, FockParams(p, INF, 1.0))):
             with pytest.raises(DomainError, match="below"):
                 call()
 
@@ -748,7 +754,7 @@ class TestValidation:
     def test_high_degree_monomials_keep_the_closed_form(self, p):
         # 1.7e4 and 1.9e4 nodes, but of 64 angles each once z**20000 is factored out.  The
         # norm is past double range, so its log is compared
-        got = focknorm._log_norm(entire.monomial(20000).coeffs, p, p, 1.0, "auto")
+        got = focknorm._log_norm(entire.monomial(20000).coeffs, p, p, 1.0)
         assert got == pytest.approx(log_monomial_norm(20000, p, 1.0), rel=1e-14)
 
     def test_huge_p_means_stay_below_the_maximum(self):
@@ -765,10 +771,10 @@ class TestValidation:
     def test_zero_function_norms(self):
         z = entire.CoeffFunction([0.0])
         assert fock_norm(z, 2.0, 1.0) == 0.0
-        assert fock_norm(z, 1.0, 1.0, method="quadrature") == 0.0
+        assert radial_rule_norm(z, 1.0, 1.0) == 0.0
         assert fock_norm(z, INF, 1.0) == 0.0
         for p in (4.0, 6.0):  # the zero function's Parseval sum has no scale: its log is -inf
-            assert fock_norm(z, p, 1.0) == fock_norm(z, p, 1.0, method="quadrature") == 0.0
+            assert fock_norm(z, p, 1.0) == radial_rule_norm(z, p, 1.0) == 0.0
 
     @pytest.mark.parametrize("call", [
         lambda: fock_norm(entire.monomial(3), 4.0, 1e-300),  # ||u_3|| is about e**1036
