@@ -8,6 +8,7 @@ error, 2 mathematical precondition failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -19,10 +20,17 @@ from .focknorm import INF, FockParams, mixed_norm
 from .hausdorff import HausdorffOperator, IllDefined, apply_quadrature, apply_spectral
 
 FMT = "%.13g"
+_SIZE_CAP = 10**6  # the largest --n and monomial:n; past it a call exits 2 at once
 
 
 def _fmt(x: float) -> str:
     return FMT % x
+
+
+def _size(n: int) -> int:
+    if n > _SIZE_CAP:
+        raise measure.DomainError(f"size {n} is past the cap {_SIZE_CAP}")
+    return n
 
 
 def _parse_exponent(text: str) -> float:
@@ -54,7 +62,7 @@ def _load_function(descriptor: str, alpha: float) -> entire.CoeffFunction:
     parts = descriptor.split(":")
     head = parts[0]
     if head == "monomial" and len(parts) == 2:
-        return entire.monomial(int(parts[1]))
+        return entire.monomial(_size(int(parts[1])))
     if head == "kernel" and len(parts) == 4:
         beta = float(parts[1])
         a = complex(float(parts[2]), float(parts[3]))
@@ -155,7 +163,7 @@ def main(argv=None) -> int:
             entire._check_alpha(args.alpha)
         if args.command == "moments":
             m = _load_measure(args.measure)
-            seq = measure.moments(m, args.n)
+            seq = measure.moments(m, _size(args.n))
             print(", ".join(_fmt(v) for v in seq.values))
         elif args.command == "apply":
             m = _load_measure(args.measure)
@@ -166,6 +174,8 @@ def main(argv=None) -> int:
                 print(json.dumps(_round_floats(g.to_json_dict()), allow_nan=False))
             else:
                 zs = [complex(tok) for tok in args.at.split(",") if tok]
+                if not all(map(cmath.isfinite, zs)):
+                    raise ValueError(f"sample points must be finite, got {args.at!r}")
                 vals = apply_quadrature(op, f, zs)
                 for z, v in zip(zs, vals):
                     print(f"{z!r} -> {_fmt(v.real)} {'+' if v.imag >= 0 else '-'} {_fmt(abs(v.imag))}j")
@@ -183,7 +193,7 @@ def main(argv=None) -> int:
             sys.stdout.write(harness.results_to_csv(results))
         elif args.command == "report":
             m = _load_measure(args.measure)
-            seq = measure.moments(m, args.n)
+            seq = measure.moments(m, _size(args.n))
             rep = measure.support_report(m)
             dossier = {
                 "measure": m.to_json_dict(),

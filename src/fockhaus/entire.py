@@ -14,10 +14,13 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 
-# log k! for the weighted coefficient sums (coeff_weighted_lp, the harness).  The
-# Taylor coefficients of exp(s*z) do not go through it; see _exp_coeffs
+# log k! for the weighted coefficient sums (coeff_weighted_lp, the harness) and the
+# Gaussian peaks.  The kernels' Taylor coefficients do not go through it; see _exp_coeffs
 _log_factorial_table = np.zeros(1)  # log 0!
 _log_factorial_table.flags.writeable = False
+_FINFO = np.finfo(float)
+_LOG_TINY, _LOG_HUGE = math.log(_FINFO.tiny), math.log(_FINFO.max)
+_LOG_SUBNORMAL = math.log(_FINFO.smallest_subnormal)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -77,6 +80,10 @@ def unit_phases(coeffs) -> np.ndarray:
     c = c * np.where(np.abs(c) < np.finfo(float).tiny, 2.0**64, 1.0)
     mod = np.abs(c)
     return np.divide(c, mod, out=np.ones_like(c), where=mod > 0)
+
+
+class DomainError(Exception):
+    """Parameters outside the admissible range of a closed form."""
 
 
 class TruncationError(Exception):
@@ -182,17 +189,26 @@ def kernel(beta: float, a: complex, radius: float = 8.0) -> CoeffFunction:
 def gaussian_peak(n: int, alpha: float) -> CoeffFunction:
     """Truncated expansion of exp(n*z - n**2/(2*alpha)).
 
-    Normalized so its weighted sup norm is 1; tail below 1e-12 relative on
-    |z| <= 2n/alpha.
+    Normalized so its weighted sup norm is 1; tail below rel_tol = 1e-12
+    relative on |z| <= 2n/alpha.  The coefficients are formed in logs, k log n
+    - log k! - n**2/(2 alpha), so that none leaves double range on the way.
+    DomainError when a coefficient lies past double range, or when the ones below
+    the normal range, each off by at most min(c_k, 2**-1074), move f by more than
+    rel_tol at |z| = n/alpha, where the norm is decided.
     """
     if n < 1:
         raise ValueError("peak index must be >= 1")
     alpha = _check_alpha(alpha)
-    x = n * (2.0 * n / alpha)
-    n_deg = _exp_series_degree(x, 1e-12, 2000)
-    coeffs = _exp_coeffs(float(n), 0.0, n_deg)
-    coeffs = coeffs * math.exp(-(n**2) / (2.0 * alpha))
-    return CoeffFunction(coeffs, label=f"peak_{n}")
+    rel_tol = 1e-12
+    n_deg = _exp_series_degree(n * (2.0 * n / alpha), rel_tol, 2000)
+    k = np.arange(n_deg + 1)
+    log_c = k * math.log(n) - log_factorials(n_deg) - n**2 / (2.0 * alpha)
+    log_r = math.log(n / alpha)
+    lost = np.where(log_c < _LOG_TINY, np.minimum(log_c, _LOG_SUBNORMAL), -np.inf) + k * log_r
+    f_r = np.logaddexp.reduce(log_c + k * log_r)
+    if not (np.logaddexp.reduce(lost) <= f_r + math.log(rel_tol) and log_c.max() < _LOG_HUGE):
+        raise DomainError(f"peak_{n} at alpha = {alpha:g} has coefficients outside double range")
+    return CoeffFunction(np.exp(log_c), label=f"peak_{n}")
 
 
 def dilate(f: CoeffFunction, t: float) -> CoeffFunction:

@@ -20,22 +20,23 @@ sum past double range, raise DomainError.
 
 The operator's quadrature action and the support masses of Mellin products go
 through one structural recursion, ``integrate(h)``, in the contraction factor
-s = 1/t: atoms are summed, the power and beta tails are Gauss-Jacobi rules in
-s, a Density is Gauss-Legendre panels in u = log t, and a Mellin product hands
-its inner factor the whole grid of nodes at once.  Density moments take every
-index from one node set per level: the panels the engine chose for mu_0, cut
-in half at each level, with each index kept at the first level that agrees
-with the one before, so no moment depends on which others were asked with it.
+s = 1/t: atoms are summed, a beta tail (the power tail t**-a is the one at
+b = 1) is a Gauss-Jacobi rule in s, a Density is Gauss-Legendre panels in
+u = log t, and a Mellin product hands its inner factor the whole grid of nodes
+at once.  Density moments take every index from one node set per level: the
+panels the engine chose for mu_0, cut in half at each level, with each index
+kept at the first level that agrees with the one before, so no moment depends
+on which others were asked with it.
 
 A measure keeps its own moments.  ``log_moments(n_max)`` is the read-only array
 log mu_0..log mu_{n_max} (and any computed past n_max), grown on each leaf
-measure in doubling chunks (from 64) through each class's vectorised
-``_log_moments``; a Density keeps the moments of a chunk up to the first one
-that fails, and raises DivergentMoment only for an index asked for.  A scaling
-or a Mellin product keeps no array: it returns log c plus its inner measure's
-array, or the sum over the shorter of its factors' arrays, whole, so
-``normalize(m)`` hands a scan every moment m holds at once.  Past double range
-a moment reads inf, without a warning.
+measure in doubling chunks (from 64) through each leaf class's vectorised
+``_log_masses``; a chunk keeps its moments up to the first one that fails
+(only a Density's can), and raises DivergentMoment only for an index asked
+for.  A scaling or a Mellin product keeps no array: it returns log c plus its
+inner measure's array, or the sum over the shorter of its factors' arrays,
+whole, so ``normalize(m)`` hands a scan every moment m holds at once.  Past
+double range a moment reads inf, without a warning.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entire import logsumexp
+from .entire import DomainError, logsumexp
 
 
 class DivergentMoment(Exception):
@@ -55,10 +56,6 @@ class DivergentMoment(Exception):
 
 class ZeroMeasure(Exception):
     """Normalization was requested for the zero measure."""
-
-
-class DomainError(Exception):
-    """Parameters outside the admissible range of a closed form."""
 
 
 CLOSED_FORM = "closed-form"
@@ -156,17 +153,17 @@ class MeasureSpec:
         complex, with the shape of s followed by any trailing shape, which the
         integral keeps; the operator's action at the points zs is
         ``integrate(lambda s: f(np.multiply.outer(s, zs)))``.  Atoms are summed
-        exactly.  The power and beta tails are Gauss-Jacobi rules in s with
-        their weights s**(a-1) and s**(a-b) (1-s)**(b-1), a Density is a
-        Gauss-Legendre rule in u = log t, and each bisects the panels on which
-        two rules disagree (see ``_adapt``); h is never called at an end of
-        the interval.  A Mellin product hands its inner factor the grid of
-        inner times outer nodes in one call.  A product of two atomless factors
-        integrates one factor's mass function over the other with it; an atomic
-        factor is the outer one and goes through ``sum_atoms`` instead: its sum
-        is exact there, while an atomic inner factor would hand quadrature a
-        step function.  A failure raises DivergentMoment, or DomainError where the
-        rules cannot carry an endpoint power or a sum passes double range (see ``_adapt``).
+        exactly.  A beta tail is a Gauss-Jacobi rule in s with its weight
+        s**(a-b) (1-s)**(b-1), a Density is a Gauss-Legendre rule in u = log t,
+        and each bisects the panels on which two rules disagree (see
+        ``_adapt``); h is never called at an end of the interval.  A Mellin
+        product hands its inner factor the grid of inner times outer nodes in
+        one call.  A product of two atomless factors integrates one factor's
+        mass function over the other with it; an atomic factor is the outer one
+        and goes through ``sum_atoms`` instead: its sum is exact there, while an
+        atomic inner factor would hand quadrature a step function.  A failure
+        raises DivergentMoment, or DomainError where the rules cannot carry an
+        endpoint power or a sum passes double range (see ``_adapt``).
         """
         raise NotImplementedError
 
@@ -196,14 +193,19 @@ class MeasureSpec:
         return self._log_mu
 
     def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
-        """log mu_{n_min}..log mu_{n_max}, or those before the first that failed."""
-        raise NotImplementedError
+        """log mu_{n_min}..log mu_{n_max} from the leaf's vectorised ``_log_masses``, or
+        those before the first that failed (nan or inf); log_moments raises if that is
+        short of its n."""
+        log_mu = self._log_masses(-np.arange(n_min, n_max + 1.0))
+        ok = log_mu < np.inf  # False at nan and inf
+        return log_mu if ok.all() else log_mu[: np.argmin(ok)]
 
     # -- decay certificates --------------------------------------------------
 
     def decay_bounds(self) -> tuple[DecayBound | None, DecayBound | None]:
-        """(upper, lower) envelopes of mu_n, each None where the structure certifies none."""
-        raise NotImplementedError
+        """(upper, lower) envelopes of mu_n, each None where the structure certifies none;
+        a leaf computes them once, as its cached ``_decay_bounds``: every verdict asks."""
+        return self._decay_bounds
 
     # -- common plumbing -----------------------------------------------------
 
@@ -317,10 +319,8 @@ class PointMasses(MeasureSpec):
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
         return float(exp_moments(self._log_masses(np.array([exponent])))[0]), CLOSED_FORM
 
-    def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
-        return self._log_masses(-np.arange(n_min, n_max + 1.0))
-
-    def decay_bounds(self) -> tuple[DecayBound, DecayBound]:
+    @functools.cached_property
+    def _decay_bounds(self) -> tuple[DecayBound, DecayBound]:
         # lam_1 t_1**-(n+1) <= mu_n <= mu_0 t_1**-n, t_1 the smallest position
         lam, t_min = self.atoms[0]
         return (DecayBound(ratio=1.0 / t_min, power=0.0, log_const=math.log(self.mu0)),
@@ -336,53 +336,6 @@ class PointMasses(MeasureSpec):
         return f"PointMasses({list(self.atoms)!r})"
 
 
-class PowerTailDensity(MeasureSpec):
-    """Density t**-a on (1, inf); moments 1/(n+a)."""
-
-    def __init__(self, a: float):
-        self.a = _as_positive(a, "power-tail exponent a")
-        self._check_mu0()
-
-    @property
-    def inf_support(self) -> float:
-        return 1.0
-
-    def mass_below(self, x):
-        x = np.maximum(x, 1.0)  # no mass below 1
-        if self.a == 1.0:
-            return np.log(x)
-        return (1.0 - x ** (1.0 - self.a)) / (self.a - 1.0)
-
-    def integrate(self, h):
-        # s = 1/t turns t**-a dt/t on (1, inf) into s**(a-1) ds on (0, 1)
-        return _integrate(h, 0.0, 1.0, alpha=self.a - 1.0)
-
-    def weighted_mass(self, exponent: float) -> tuple[float, str]:
-        if exponent >= self.a:
-            raise DivergentMoment(
-                f"integral t**({exponent - self.a - 1:g}) over (1,inf) diverges"
-            )
-        mass = 1.0 / (self.a - exponent)
-        if math.isinf(mass):  # e.g. mu_0 = 1/a for a tiny a: it converges
-            raise DomainError(f"power-tail integral 1/(a - {exponent:g}) lies past double range")
-        return mass, CLOSED_FORM
-
-    def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
-        return -np.log(np.arange(n_min, n_max + 1.0) + self.a)
-
-    def decay_bounds(self) -> tuple[DecayBound, DecayBound]:
-        # 1/(n+a) against (n+1)**-1: the quotient (n+1)/(n+a) lies between 1 and 1/a
-        log_inv_a = -math.log(self.a)
-        return (DecayBound(ratio=1.0, power=1.0, log_const=max(0.0, log_inv_a)),
-                DecayBound(ratio=1.0, power=1.0, log_const=min(0.0, log_inv_a)))
-
-    def to_json_dict(self) -> dict:
-        return {"type": "density", "kind": "power_tail", "a": self.a}
-
-    def __repr__(self) -> str:
-        return f"PowerTailDensity(a={self.a!r})"
-
-
 # B_2k / (2k (2k-1)), k = 1..6: Stirling's series for log Gamma
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
              -691.0 / 360360.0)
@@ -391,11 +344,14 @@ _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0
 def _log_beta(b: float, s: np.ndarray) -> np.ndarray:
     """log B(b, s) = lgamma(b) + lgamma(s) - lgamma(b + s) for an array s > 0.
 
-    Below 16 through math.lgamma.  From 16 on, the difference of the two
-    Stirling series, with its leading terms as (s - 1/2) log1p(b/s) + b log(s + b) - b,
-    so that nothing cancels: within ~1e-14 of the exact value at s = 2e4, where
-    the difference of two math.lgamma values is off by ~6e-11.
+    At b = 1 exactly -log s, since B(1, s) = 1/s.  Otherwise below 16 through
+    math.lgamma, and from 16 on the difference of the two Stirling series, with
+    its leading terms as (s - 1/2) log1p(b/s) + b log(s + b) - b, so that
+    nothing cancels: within ~1e-14 of the exact value at s = 2e4, where the
+    difference of two math.lgamma values is off by ~6e-11.
     """
+    if b == 1.0:
+        return -np.log(s)
     out = np.empty_like(s)
     small = s < 16.0
     out[small] = [math.lgamma(x) - math.lgamma(b + x) for x in s[small].tolist()]
@@ -415,11 +371,15 @@ def _log_beta(b: float, s: np.ndarray) -> np.ndarray:
 
 
 class BetaTailDensity(MeasureSpec):
-    """Density (t-1)**(b-1) * t**-a on (1, inf), a+1 > b > 0."""
+    """Density (t-1)**(b-1) * t**-a on (1, inf), a+1 > b > 0, both finite; moments
+    B(b, n+a+1-b), with a+1-b formed as a + (1-b): exactly a at b = 1, where this is
+    the power tail t**-a and its moments are 1/(n+a)."""
 
     def __init__(self, a: float, b: float):
         a, b = float(a), float(b)
-        if not (b > 0.0 and a + 1.0 > b):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"need a finite a and b, got a={a}, b={b}")
+        if not (b > 0.0 and a + (1.0 - b) > 0.0):
             raise DomainError(f"need a+1 > b > 0, got a={a}, b={b}")
         self.a, self.b = a, b
         self._check_mu0()
@@ -434,6 +394,9 @@ class BetaTailDensity(MeasureSpec):
         if np.ndim(x) == 0 and x <= 1.0:
             return 0.0
         a, b = self.a, self.b
+        if b == 1.0:  # the power tail's closed form; the rule below reads 0 from a ~ 1e6 on
+            x = np.maximum(x, 1.0)
+            return np.log(x) if a == 1.0 else (1.0 - x ** (1.0 - a)) / (a - 1.0)
         c = 1.0 / np.maximum(x, 1.0)
         power = _integrate(lambda y: (c + np.multiply.outer(y, 1.0 - c)) ** (a - b - 1.0),
                            0.0, 1.0, beta=b - 1.0)
@@ -445,29 +408,33 @@ class BetaTailDensity(MeasureSpec):
         # since a+1 > b > 0), which leaves h as the whole integrand
         return _integrate(h, 0.0, 1.0, alpha=self.a - self.b, beta=self.b - 1.0)
 
+    def _log_masses(self, exponents: np.ndarray) -> np.ndarray:
+        return _log_beta(self.b, self.a + (1.0 - self.b) - exponents)
+
     def weighted_mass(self, exponent: float) -> tuple[float, str]:
-        second = self.a - exponent - self.b + 1.0
+        second = self.a + (1.0 - self.b) - exponent
         if not second > 0.0:
             raise DivergentMoment(
                 f"beta-tail integral with exponent {exponent:g} diverges"
             )
-        try:
-            return math.exp(_log_beta(self.b, np.array([second]))[0]), CLOSED_FORM
-        except OverflowError:  # e.g. mu_0 ~ 1/b for a tiny b
+        try:  # B(1, s) = 1/s at b = 1, where exp(-log s) is 2.4e-14 off at s = 1e-300
+            mass = (1.0 / second if self.b == 1.0
+                    else math.exp(self._log_masses(np.array([exponent]))[0]))
+        except OverflowError:
+            mass = math.inf
+        if math.isinf(mass):  # e.g. mu_0 ~ 1/b for a tiny b, or 1/a for a tiny a at b = 1
             raise DomainError(
-                f"beta-tail integral with exponent {exponent:g} lies past double range"
-            ) from None
+                f"beta-tail integral with exponent {exponent:g} lies past double range")
+        return mass, CLOSED_FORM
 
-    def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
-        return _log_beta(self.b, self.a + np.arange(n_min, n_max + 1.0) - self.b + 1.0)
-
-    def decay_bounds(self) -> tuple[DecayBound, DecayBound]:
+    @functools.cached_property
+    def _decay_bounds(self) -> tuple[DecayBound, DecayBound]:
         # B(b,m), m = n+m0, m0 = 1+a-b > 0.  For b >= 1, u*exp(-u) <= 1-exp(-u) <= u inside
         # B(b,m) = int (1-e^-u)^(b-1) e^-mu du gives Gamma(b)*(n+a)^-b <= B <= Gamma(b)*m^-b;
         # for b < 1, Wendel's inequality gives Gamma(b)*m^-b <= B <= that * (1+b/m0)^(1-b).
         # Then m and n+a are squeezed against (n+1).
         a, b = self.a, self.b
-        m0 = 1.0 + a - b
+        m0 = a + (1.0 - b)
         up = math.lgamma(b) - b * math.log(min(1.0, m0))  # m >= min(1, m0)*(n+1)
         if b >= 1.0:  # n+a <= max(1, a)*(n+1)
             lo = math.lgamma(b) - b * math.log(max(1.0, a))
@@ -785,16 +752,7 @@ class Density(MeasureSpec):
             raise DivergentMoment("integral is beyond the plausibility bound")
         return math.exp(log_mass), QUAD_TAG
 
-    def _log_moments(self, n_min: int, n_max: int) -> np.ndarray:
-        # the moments up to the first that failed; log_moments raises if that is short of its n
-        log_mu = self._log_masses(-np.arange(n_min, n_max + 1.0))
-        failed = np.isnan(log_mu) | (log_mu == np.inf)
-        return log_mu[: np.argmax(failed)] if failed.any() else log_mu
-
-    def decay_bounds(self) -> tuple[DecayBound | None, DecayBound | None]:
-        return self._decay_bounds
-
-    @functools.cached_property  # every series and sup verdict asks for them
+    @functools.cached_property
     def _decay_bounds(self) -> tuple[DecayBound | None, DecayBound | None]:
         # t >= lo on the support gives mu_n <= mu_0 lo**-n, of use for lo >= 1; the
         # witness interval [lo, mid] gives mu_n >= mass([lo, mid]) * mid**-(n+1)
@@ -964,9 +922,14 @@ def normalize(m: MeasureSpec) -> Scaled:
 # -- named measures and JSON ingestion ---------------------------------------
 
 
-def hardy_measure() -> PowerTailDensity:
+def hardy_measure() -> BetaTailDensity:
     """dt/t on (1, inf): the averaging kernel of the classical Hardy operator."""
-    return PowerTailDensity(1.0)
+    return BetaTailDensity(1.0, 1.0)
+
+
+def PowerTailDensity(a: float) -> BetaTailDensity:
+    """Density t**-a on (1, inf), a > 0 finite: the beta tail at b = 1."""
+    return BetaTailDensity(_as_positive(a, "power-tail exponent a"), 1.0)
 
 
 def dirac(t: float) -> PointMasses:
@@ -1023,7 +986,7 @@ def from_json_dict(data: dict) -> MeasureSpec:
     if kind == "density":
         sub = data.get("kind")
         if sub == "power_tail":
-            return PowerTailDensity(float(data["a"]))
+            return PowerTailDensity(data["a"])
         if sub == "beta_tail":
             return BetaTailDensity(float(data["a"]), float(data["b"]))
         raise ValueError(f"unknown density kind {sub!r}")

@@ -7,6 +7,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -275,6 +276,61 @@ def test_a_bad_input_file_or_function_is_a_usage_error(argv, value, tmp_path):
     assert err.count("\n") == 1 and err.startswith("fockhaus: error: ")
 
 
+_PAST_THE_CAP = str(cli._SIZE_CAP + 1)
+
+
+@pytest.mark.parametrize("argv, value, want", [
+    # a non-finite beta parameter warned in _log_beta and exited 2, "mu_0 ... is not finite",
+    # or exited 2 with "need a+1 > b > 0"
+    (["moments", "--measure", "beta:inf:1"], None, 1),
+    (["moments", "--measure", "beta:inf:0.5"], None, 1),
+    (["moments", "--measure", "beta:nan:1"], None, 1),
+    (["moments", "--measure", "beta:2:-inf"], None, 1),
+    # admissible tails that a + 1.0 > b refused, with a + 1.0 rounded to 1.0: exit 2
+    (["moments", "--n", "3", "--measure", "beta:1e-17:1"], None, 0),
+    (["moments", "--n", "3", "--measure", "beta:1e-300:1"], None, 0),
+    # the coefficients that carry |z| = 20 underflowed: this printed 0.0007171349987278
+    (["norm", "--fn", "peak:20", "--alpha", "1", "--p", "inf"], None, 2),
+    # flushed coefficients carry 1e-8 of f at |z| = 15: this printed 0.99999998
+    (["norm", "--fn", "peak:15", "--alpha", "1", "--p", "inf"], None, 2),
+    # exited 0 before too: its coefficients below the normal range move f by ~1e-13
+    (["norm", "--fn", "peak:14", "--alpha", "1", "--p", "inf"], None, 0),
+    # n**k/k! overflowed before its scaling: two RuntimeWarnings, then exit 1
+    (["norm", "--fn", "peak:800", "--alpha", "1000", "--p", "2"], None, 0),
+    (["norm", "--fn", "peak:800", "--alpha", "1000", "--p", "inf"], None, 0),
+    (["norm", "--fn", "peak:1194", "--alpha", "1700", "--p", "2"], None, 2),
+    # sizes past the cap built arrays of that size and exited 0 after seconds
+    (["moments", "--measure", "hardy", "--n", _PAST_THE_CAP], None, 2),
+    (["report", "--measure", "hardy", "--n", _PAST_THE_CAP], None, 2),
+    (["apply", "--measure", "hardy", "--fn", f"monomial:{_PAST_THE_CAP}"], None, 2),
+    # a non-finite sample point exited 2, "integrand is not finite"
+    (["apply", "--measure", "hardy", "--fn", "monomial:2", "--mode", "quadrature", "--at", "nan"],
+     None, 1),
+    (["apply", "--measure", "hardy", "--fn", "monomial:2", "--mode", "quadrature",
+      "--at", "1,inf+1j"], None, 1),
+    # exited 1 before there was one tail class too; it now reads through the beta tail
+    (["moments", "--measure"], {"type": "density", "kind": "power_tail", "a": math.inf}, 1),
+], ids=["beta-inf-1", "beta-inf-half", "beta-nan-1", "beta-b-minus-inf", "beta-tiny-a",
+        "beta-tinier-a", "peak-underflow", "peak-flushed", "peak-subnormal", "peak-overflow-p2",
+        "peak-overflow-pinf", "peak-coefficient-overflow", "moments-size", "report-size",
+        "apply-size", "at-nan", "at-inf", "power-tail-json-inf"])
+def test_parameters_sizes_and_points_at_the_edges(argv, value, want, tmp_path):
+    if value is not None:
+        argv = [*argv, _descriptor(value, tmp_path / "input.json")]
+    start = time.perf_counter()
+    code, out, err = _run_in_process(argv)
+    elapsed = time.perf_counter() - start
+    assert code == want, err
+    if code:
+        assert err.count("\n") == 1
+    if _PAST_THE_CAP in " ".join(argv):
+        assert elapsed < 1.0 and "cap" in err
+    if "beta:1e-17:1" in argv:  # mu_n = 1/(n + a)
+        assert out == "1e+17, 1, 0.5, 0.3333333333333\n"
+    if code == 0 and argv[0] == "norm":  # the peak is normalised to norm 1
+        assert abs(float(out) - 1.0) <= 1e-12
+
+
 def test_kernel_past_the_truncation_cap_is_a_precondition_failure(capsys):
     # the kernel's scale beta |a| radius is inf: int(inf) raised OverflowError
     with warnings.catch_warnings():
@@ -413,6 +469,24 @@ _LEAVES = st.one_of(
     st.tuples(_log_uniform(1e-3, 1e6), _log_uniform(1e-3, 1e3)).map(
         lambda ab: {"type": "density", "kind": "beta_tail", "a": ab[0], "b": ab[1]}),
 )
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+# beta parameters with at least one of them not finite, which the door refuses
+_NON_FINITE_AB = st.one_of(
+    st.tuples(_NON_FINITE, st.one_of(_NON_FINITE, _log_uniform(1e-3, 1e3))),
+    st.tuples(_log_uniform(1e-3, 1e6), _NON_FINITE))
+# named and JSON tails with such a parameter; kept out of the products, where a refused
+# factor would only take draws from the finite ones
+_REFUSED_MEASURES = st.one_of(
+    _NON_FINITE_AB.map(lambda ab: f"beta:{ab[0]!r}:{ab[1]!r}"),
+    _NON_FINITE.map(lambda a: {"type": "density", "kind": "power_tail", "a": a}),
+    _NON_FINITE_AB.map(lambda ab: {"type": "density", "kind": "beta_tail", "a": ab[0], "b": ab[1]}),
+)
+
+
+def _non_finite(m) -> bool:
+    """A measure drawn from _REFUSED_MEASURES: a tail with a parameter that is not finite."""
+    text = m if isinstance(m, str) else json.dumps(m)
+    return any(word in text for word in ("inf", "nan", "Infinity", "NaN"))
 
 
 def _products(factors):
@@ -424,7 +498,8 @@ def _products(factors):
     )
 
 
-_ACTION_MEASURES = st.one_of(_MEASURES, _products(st.one_of(_LEAVES, _products(_LEAVES))))
+_ACTION_MEASURES = st.one_of(_MEASURES, _products(st.one_of(_LEAVES, _products(_LEAVES))),
+                             _REFUSED_MEASURES)
 _ACTION_FUNCTIONS = st.one_of(_FUNCTIONS, st.integers(0, 40).map(lambda n: f"peak:{n}"))
 _POINTS = st.sampled_from(["2", "0.5+0.5j", "1,0.5+0.5j", "-3j,1e-5", "1,5e-6"])
 
@@ -435,7 +510,9 @@ def action_files(tmp_path_factory):
     return folder / "measure.json", folder / "f.json"
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+# 600 examples over the three branches of _ACTION_MEASURES: ~200 each for the named measures
+# and the products, whose finite leaves exercise the quadrature rules
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
 @given(command=st.sampled_from(["moments", "spectral", "quadrature"]), m=_ACTION_MEASURES,
        n=st.integers(0, 64), fn=_ACTION_FUNCTIONS, at=_POINTS)
 # a weighted sum past double range: inf - inf, a warning and exit 1
@@ -445,6 +522,7 @@ def action_files(tmp_path_factory):
 @example("quadrature", "beta:2:0.5", 10, "monomial:60", "1,5e-6")
 def test_moments_and_apply_keep_the_exit_code_contract(action_files, command, m, n, fn, at):
     measure_file, fn_file = action_files
+    measure_refused = _non_finite(m)  # exits 1 at the door
     m = _descriptor(m, measure_file)
     refused = _refused(fn)
     fn = _descriptor(fn if isinstance(fn, str) else {"coeffs": fn}, fn_file)
@@ -453,6 +531,8 @@ def test_moments_and_apply_keep_the_exit_code_contract(action_files, command, m,
     else:
         argv = ["apply", "--measure", m, "--fn", fn, "--mode", command, f"--at={at}"]
     code, out, err = _run_in_process(argv)
+    if measure_refused:
+        assert code == 1
     if command != "moments" and refused:
         assert code != 0  # 1 at the door, unless the measure failed first
     if code != 0:

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -95,6 +96,59 @@ class TestBetaMoment:
         for n in (0, 2, 7):
             want = math.exp(math.lgamma(0.5) + math.lgamma(n + 2.5) - math.lgamma(n + 3.0))
             assert m.weighted_mass(-float(n))[0] == pytest.approx(want, rel=1e-14)
+
+
+class TestPowerTailIsTheBetaTailAtBOne:
+    @pytest.mark.parametrize("a", [1e-300, 1e-17, 0.3, 1.0, 1.5, 3e7])
+    def test_the_power_tail_forms_keep_their_bits(self, a):
+        # log mu_n = -log(n + a), mu_e = 1/(a - e) and the mass below x, as the power tail
+        # class formed them; a + (1 - b) is exactly a at b = 1
+        m = msr.PowerTailDensity(a)
+        assert isinstance(m, msr.BetaTailDensity) and m.b == 1.0
+        log_mu = m.log_moments(300)
+        np.testing.assert_array_equal(log_mu, -np.log(np.arange(len(log_mu)) + a))
+        for e in (0.0, -1.0, -7.0, -1e5, a / 2.0, -a):
+            assert m.weighted_mass(e)[0] == 1.0 / (a - e), e
+        for x in (1.5, 2.0, 1e3):
+            want = math.log(x) if a == 1.0 else (1.0 - x ** (1.0 - a)) / (a - 1.0)
+            assert m.mass_below(x) == want, x
+
+    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (math.inf, 0.5), (-math.inf, 1.0),
+                                      (math.nan, 1.0), (1.0, math.inf), (2.0, math.nan)])
+    def test_non_finite_parameters_are_refused(self, a, b):
+        # beta:inf:1 warned in _log_beta and then read mu_0 as not finite
+        with pytest.raises(ValueError, match="finite"):
+            msr.BetaTailDensity(a, b)
+
+    @pytest.mark.parametrize("a", [math.inf, math.nan, 0.0, -1.0])
+    def test_the_power_tail_needs_a_positive_finite_exponent(self, a):
+        with pytest.raises(ValueError, match="positive finite"):
+            msr.PowerTailDensity(a)
+
+    def test_tiny_exponents_are_admissible(self):
+        # a + 1.0 > b rounded to 1.0 > 1.0 here, and refused both
+        for a in (1e-17, 1e-300):
+            assert msr.BetaTailDensity(a, 1.0).mu0 == 1.0 / a
+
+
+class TestLogBeta:
+    # the largest |_log_beta - log B| / max(1, |log B|) against 40-digit mpmath, as measured,
+    # over s = 1e-300..1e15 in half decades and 0.05..40 in steps of 0.05, which crosses
+    # the switch to Stirling's series at 16; below 16 the lgamma difference cancels for a
+    # large b, most at (344.05, 0.25)
+    BOUNDS = {1.0: 1.1e-16, 0.5: 1.4e-14, 1.5: 2.1e-15, 2.5: 1.8e-15, 111.43: 5.2e-14,
+              344.05: 4.6e-13}
+
+    @pytest.mark.parametrize("b", sorted(BOUNDS))
+    def test_against_mpmath(self, b):
+        s = np.unique(np.r_[10.0 ** np.arange(-300.0, 15.5, 0.5), np.arange(1, 801) * 0.05])
+        got = msr._log_beta(b, s)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for value, x in zip(got.tolist(), s.tolist()):
+                want = mpmath.log(mpmath.beta(b, x))
+                worst = max(worst, float(abs(value - want) / max(1, abs(want))))
+        assert worst <= self.BOUNDS[b]
 
 
 class TestSupportReport:
@@ -211,7 +265,7 @@ class TestQuadEngine:
         # a cubic is exact on the first panel, so one batch holds every node: the
         # 8 + 16 of the power tail, or that grid squared for the product
         assert len(batches) == 1
-        assert batches[0].size == (24 if isinstance(measure, msr.PowerTailDensity) else 24 * 24)
+        assert batches[0].size == (24 if isinstance(measure, msr.BetaTailDensity) else 24 * 24)
         assert ((batches[0] > 0.0) & (batches[0] < 1.0)).all()
 
     @staticmethod
@@ -463,12 +517,12 @@ class TestDecayBounds:
 class TestJson:
     CASES = [
         {"type": "point_masses", "atoms": [[1.0, 1.0], [0.5, 2.0]]},
-        {"type": "density", "kind": "power_tail", "a": 1.0},
+        {"type": "density", "kind": "beta_tail", "a": 1.0, "b": 1.0},
         {"type": "density", "kind": "beta_tail", "a": 2.0, "b": 1.0},
         {
             "type": "mellin",
-            "left": {"type": "density", "kind": "power_tail", "a": 1.0},
-            "right": {"type": "density", "kind": "power_tail", "a": 1.0},
+            "left": {"type": "density", "kind": "beta_tail", "a": 1.0, "b": 1.0},
+            "right": {"type": "density", "kind": "beta_tail", "a": 1.5, "b": 1.0},
         },
         {
             "type": "scaled",
@@ -482,6 +536,16 @@ class TestJson:
             m = msr.from_json_dict(case)
             again = msr.from_json_dict(json.loads(json.dumps(m.to_json_dict())))
             assert again.to_json_dict() == m.to_json_dict() == case
+
+    def test_power_tail_input_reads_as_the_beta_tail_at_b_1(self):
+        power = {"type": "density", "kind": "power_tail", "a": 1.5}
+        beta = {"type": "density", "kind": "beta_tail", "a": 1.5, "b": 1.0}
+        assert msr.from_json_dict(power).to_json_dict() == beta
+        product = {"type": "mellin", "left": power, "right": power}
+        assert msr.from_json_dict(product).to_json_dict() == {
+            "type": "mellin", "left": beta, "right": beta}
+        assert msr.hardy_measure().to_json_dict() == {
+            "type": "density", "kind": "beta_tail", "a": 1.0, "b": 1.0}
 
     def test_round_trip_keeps_atom_certificates(self):
         m = harness._example_measures()["atoms-1+1/k"]
@@ -500,7 +564,8 @@ class TestJson:
 
 class TestNamedMeasures:
     def test_named(self):
-        assert isinstance(msr.named_measure("hardy"), msr.PowerTailDensity)
+        hardy = msr.named_measure("hardy")
+        assert isinstance(hardy, msr.BetaTailDensity) and (hardy.a, hardy.b) == (1.0, 1.0)
         assert isinstance(msr.named_measure("beta:2:1"), msr.BetaTailDensity)
         d = msr.named_measure("dirac:2")
         assert d.atoms == ((2.0, 2.0),)
