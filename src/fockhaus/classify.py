@@ -28,8 +28,8 @@ from enum import Enum
 
 import numpy as np
 
-from .entire import _check_alpha
-from .focknorm import _LOG_DBL_MAX, INF, _check_exponent
+from .entire import _LOG_DBL_MAX, _check_alpha
+from .focknorm import INF, _check_exponent, _inv
 from .measure import (
     DivergentMoment,
     MeasureSpec,
@@ -395,10 +395,6 @@ def classify_weighted(m: MeasureSpec, v: RadialWeight) -> list[ClassReport]:
 
 
 # -- smoothing and summing criteria ---------------------------------------------
-
-
-def _inv(p: float) -> float:
-    return 0.0 if p == INF else 1.0 / p
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Entire functions as finite Taylor-coefficient vectors.
+"""Entire functions as finite Taylor-coefficient vectors, evaluated by Horner's rule.
 
 Every function carried by the library is a trimmed complex coefficient
 sequence with an explicit truncation certificate where it stands in for a
@@ -11,7 +11,6 @@ import cmath
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 
 # log k! for the weighted coefficient sums (coeff_weighted_lp, the harness) and the
@@ -19,7 +18,7 @@ from numpy.polynomial import polynomial as P
 _log_factorial_table = np.zeros(1)  # log 0!
 _log_factorial_table.flags.writeable = False
 _FINFO = np.finfo(float)
-_LOG_TINY, _LOG_HUGE = math.log(_FINFO.tiny), math.log(_FINFO.max)
+_LOG_TINY, _LOG_DBL_MAX = math.log(_FINFO.tiny), math.log(_FINFO.max)  # exp overflows above
 _LOG_SUBNORMAL = math.log(_FINFO.smallest_subnormal)
 
 
@@ -111,9 +110,12 @@ class CoeffFunction:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        if np.ndim(z) == 0:  # a Python complex keeps Horner's rule off 0-d arrays
-            return P.polyval(complex(z), self.coeffs)
-        return P.polyval(np.asarray(z, dtype=complex), self.coeffs)
+        # a Python complex keeps Horner's rule off 0-d arrays
+        z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
+        value = self.coeffs[-1] + z * 0
+        for c in self.coeffs[-2::-1]:
+            value = c + value * z
+        return value
 
     def __repr__(self) -> str:
         name = self.label or "f"
@@ -206,7 +208,7 @@ def gaussian_peak(n: int, alpha: float) -> CoeffFunction:
     log_r = math.log(n / alpha)
     lost = np.where(log_c < _LOG_TINY, np.minimum(log_c, _LOG_SUBNORMAL), -np.inf) + k * log_r
     f_r = np.logaddexp.reduce(log_c + k * log_r)
-    if not (np.logaddexp.reduce(lost) <= f_r + math.log(rel_tol) and log_c.max() < _LOG_HUGE):
+    if not (np.logaddexp.reduce(lost) <= f_r + math.log(rel_tol) and log_c.max() < _LOG_DBL_MAX):
         raise DomainError(f"peak_{n} at alpha = {alpha:g} has coefficients outside double range")
     return CoeffFunction(np.exp(log_c), label=f"peak_{n}")
 

@@ -11,7 +11,8 @@ Factorials and powers overflow long before the interesting degrees do, so
 every accumulation happens on logarithms.  A value leaves logs in one
 place, _exp, which raises measure.DomainError when it is past double range
 instead of returning inf.  _log_norm is the one place a norm's route is
-chosen.  The module needs numpy only.
+chosen.  The module needs numpy only.  The radial rule's Gauss-Legendre panels
+come from measure._gauss_jacobi, the package's one (Golub-Welsch) Gauss-rule builder.
 
 Every even p = 2k is a Parseval route: M_2k(f, r)**2k = sum |b_n|**2 r**(2n)
 with b_n the Taylor coefficients of f**k, so ||f||_{2k,alpha}**2k =
@@ -50,13 +51,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .entire import CoeffFunction, _check_alpha, log_factorials, logsumexp, unit_phases
-from .measure import DomainError
+from .entire import (_LOG_DBL_MAX, CoeffFunction, _check_alpha, log_factorials, logsumexp,
+                     unit_phases)
+from .measure import DomainError, _gauss_jacobi
 
 INF = float("inf")
-_LOG_DBL_MAX = math.log(np.finfo(float).max)  # exp above this overflows
 
 # finite-p means start at _fft_len(max(64, 4*(degree+1))) angles, the degree
 # taken after z**m is factored out, so c*z**n transforms 64 angles
@@ -71,7 +71,8 @@ _NOISE = 8.0 * np.finfo(float).eps / 2.0
 _GRID_MAX_LOG_ERR = 0.1
 _SUP_NATS = 1.0  # a sup row this far below the largest weighted mean cannot win
 GL_ORDER = 24  # Gauss-Legendre nodes per radial panel
-_GL_NODES, _GL_WEIGHTS = leggauss(GL_ORDER)
+_GL_NODES, _GL_WEIGHTS = _gauss_jacobi(GL_ORDER, 0.0, 0.0)  # on (0, 1)
+_GL_NODES, _GL_WEIGHTS = 2.0 * _GL_NODES - 1.0, 2.0 * _GL_WEIGHTS  # on (-1, 1)
 SUP_GRID = 512  # radii of the radial sup's first grid
 _ANGLE_EVALS = 4  # per p = inf circle maximum: the grid angle, then 3 Newton steps
 _SUP_ROUNDS = 6  # bracket rounds of the radial sup, each 8-fold narrower
@@ -97,6 +98,10 @@ def _check_exponent(p: float, name: str = "p") -> float:
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError(f"{name} must be in (0, inf], got {p!r}")
     return p
+
+
+def _inv(p: float) -> float:  # 1/p, with 1/inf = 0
+    return 0.0 if p == INF else 1.0 / p
 
 
 @dataclass(frozen=True)

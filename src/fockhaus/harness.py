@@ -18,6 +18,7 @@ import numpy as np
 
 from . import classify, measure as msr
 from .entire import (
+    _LOG_DBL_MAX,
     CoeffFunction,
     dilate,
     kernel,
@@ -27,9 +28,9 @@ from .entire import (
     rademacher_randomize,
 )
 from .focknorm import (
-    _LOG_DBL_MAX,
     INF,
     FockParams,
+    _inv,
     _log_circle_means,
     coeff_weighted_lp,
     fock_norm,
@@ -276,7 +277,7 @@ def check_contraction_and_dilation(seed: int) -> list[PropertyResult]:
         ests = np.array([dilation_opnorm_estimate(t, p, q) for t in ts])
         x = np.log(1.0 - 1.0 / ts**2)
         slope = float(np.polyfit(x, np.log(ests), 1)[0])
-        iq = 0.0 if q == INF else 1.0 / q
+        iq = _inv(q)
         lo = min(0.5 * iq - 0.5 / p, iq - 1.0 / p) - 0.1
         hi = max(0.5 * iq - 0.5 / p, iq - 1.0 / p) + 0.1
         ok = lo <= slope <= hi

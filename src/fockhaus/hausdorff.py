@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure as msr
-from .entire import CoeffFunction, unit_phases
-from .focknorm import _LOG_DBL_MAX, INF, _check_exponent, log_monomial_norm
+from .entire import _LOG_DBL_MAX, CoeffFunction, unit_phases
+from .focknorm import _check_exponent, _inv, log_monomial_norm
 from .measure import DomainError, MeasureSpec
 
 
@@ -130,8 +130,7 @@ def dilation_opnorm_bounds(t: float, p: float, q: float) -> DilationBounds:
     q = _check_exponent(q, "q")
     if t <= 1.0:
         raise ValueError("need t > 1")
-    inv_p = 0.0 if p == INF else 1.0 / p
-    inv_q = 0.0 if q == INF else 1.0 / q
+    inv_p, inv_q = _inv(p), _inv(q)
     if inv_p < inv_q:
         raise DomainError("need p <= q")
     if p == q:

@@ -55,7 +55,7 @@ class DivergentMoment(Exception):
 
 
 class ZeroMeasure(Exception):
-    """Normalization was requested for the zero measure."""
+    """Normalization was asked of a measure whose mu_0 is 0, or so small 1/mu_0 overflows."""
 
 
 CLOSED_FORM = "closed-form"
@@ -341,32 +341,41 @@ _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0
              -691.0 / 360360.0)
 
 
+def _stirling_sum(v: np.ndarray) -> np.ndarray:
+    """Sum of _STIRLING[k-1] v**(1-2k), by Horner's rule in 1/v**2."""
+    with np.errstate(over="ignore"):  # v*v = inf past 1.3e154, where 1/v**2 is 0 anyway
+        w = 1.0 / (v * v)
+    acc = np.full_like(v, _STIRLING[-1])
+    for c in _STIRLING[-2::-1]:
+        acc = acc * w + c
+    return acc / v
+
+
+def _lgamma_step(x: np.ndarray, c: float | np.ndarray) -> np.ndarray:
+    """lgamma(x) - lgamma(x + c) for x >= 16, c > 0, from the difference of the two
+    Stirling series, its leading terms as c - (x - 1/2) log1p(c/x) - c log(x + c)."""
+    y = x + c
+    return c - (x - 0.5) * np.log1p(c / x) - c * np.log(y) - (_stirling_sum(y) - _stirling_sum(x))
+
+
 def _log_beta(b: float, s: np.ndarray) -> np.ndarray:
     """log B(b, s) = lgamma(b) + lgamma(s) - lgamma(b + s) for an array s > 0.
 
-    At b = 1 exactly -log s, since B(1, s) = 1/s.  Otherwise below 16 through
-    math.lgamma, and from 16 on the difference of the two Stirling series, with
-    its leading terms as (s - 1/2) log1p(b/s) + b log(s + b) - b, so that
-    nothing cancels: within ~1e-14 of the exact value at s = 2e4, where the
-    difference of two math.lgamma values is off by ~6e-11.
+    At b = 1 exactly -log s, since B(1, s) = 1/s.  Otherwise, with lo, hi the
+    smaller and larger of b and s, lgamma(lo) + _lgamma_step(hi, lo) once hi >= 16,
+    and below 16 through math.lgamma.  So lgamma(hi) is never added to cancel against
+    lgamma(b + s): within ~1e-15 of the exact value at b = 1e4 and at s = 2e4,
+    where the difference of two math.lgamma values is off by ~1e-11.
     """
     if b == 1.0:
         return -np.log(s)
+    if b >= 16.0:
+        lo, hi = np.minimum(s, b), np.maximum(s, b)
+        return np.array([math.lgamma(x) for x in lo.tolist()]) + _lgamma_step(hi, lo)
     out = np.empty_like(s)
     small = s < 16.0
     out[small] = [math.lgamma(x) - math.lgamma(b + x) for x in s[small].tolist()]
-    x = s[~small]
-    y = x + b
-
-    def series(v):  # sum of c_k v**(1-2k), by Horner's rule in 1/v**2
-        with np.errstate(over="ignore"):  # v*v = inf past 1.3e154, where 1/v**2 is 0 anyway
-            w = 1.0 / (v * v)
-        acc = np.full_like(v, _STIRLING[-1])
-        for c in _STIRLING[-2::-1]:
-            acc = acc * w + c
-        return acc / v
-
-    out[~small] = b - (x - 0.5) * np.log1p(b / x) - b * np.log(y) - (series(y) - series(x))
+    out[~small] = _lgamma_step(s[~small], b)
     return math.lgamma(b) + out
 
 
@@ -914,8 +923,8 @@ def support_report(m: MeasureSpec) -> SupportReport:
 def normalize(m: MeasureSpec) -> Scaled:
     """Wrap m so that the scaled measure has mu_0 = 1."""
     mu0 = m.mu0
-    if mu0 == 0.0:
-        raise ZeroMeasure("cannot normalize the zero measure")
+    if not mu0 > 1.0 / np.finfo(float).max:  # 0 for the zero measure; else 1/mu0 is finite
+        raise ZeroMeasure(f"cannot normalize mu_0 = {mu0:g}: 1/mu_0 is past double range")
     return Scaled(1.0 / mu0, m)
 
 
@@ -942,25 +951,29 @@ def geometric_atoms(lam: float, ratio: float) -> PointMasses:
     """Truncation of sum over k >= 1 of lam**k * delta(ratio**k).
 
     Needs 0 < lam < 1 and ratio >= 1; the dropped tail of mu_0 is below
-    GEOMETRIC_TAIL relative.  DomainError when that takes more than
-    GEOMETRIC_ATOMS_MAX atoms, or when the last position ratio**k_max is past
-    double range.
+    GEOMETRIC_TAIL relative.  An atom whose weight lam**k underflows to 0 goes with
+    the tail, which is then below lam**(k-1) < 2**-537 relative.  DomainError when
+    the tail takes more than GEOMETRIC_ATOMS_MAX atoms, or when a kept position
+    ratio**k is past double range.
     """
     lam = _as_positive(lam, "weight base")
     ratio = _as_positive(ratio, "position ratio")
     if lam >= 1.0 or ratio < 1.0:
         raise ValueError("need 0 < lam < 1 and ratio >= 1")
     x = lam / ratio
-    k_max = max(4, int(math.ceil(math.log(GEOMETRIC_TAIL * (1 - x)) / math.log(x))))
+    log_x = math.log(lam) - math.log(ratio)  # x may underflow to 0
+    k_max = max(4, int(math.ceil(math.log(GEOMETRIC_TAIL * (1 - x)) / log_x)))
     if k_max > GEOMETRIC_ATOMS_MAX:
         raise DomainError(f"the tail {GEOMETRIC_TAIL:g} needs {k_max} atoms, "
                           f"more than {GEOMETRIC_ATOMS_MAX}")
-    tail = x ** (k_max + 1) / (1 - x)
+    weights = [w for w in (lam**k for k in range(1, k_max + 1)) if w > 0.0]
+    tail = x ** (len(weights) + 1) / (1 - x)
     try:
-        return PointMasses([(lam**k, ratio**k) for k in range(1, k_max + 1)],
+        return PointMasses([(w, ratio**k) for k, w in enumerate(weights, 1)],
                            tail_certificate=tail)
     except OverflowError:  # from a position ratio**k
-        raise DomainError(f"atom position {ratio:g}**{k_max} lies past double range") from None
+        raise DomainError(f"atom position {ratio:g}**{len(weights)} lies past double "
+                          "range") from None
 
 
 def named_measure(name: str) -> MeasureSpec:

@@ -310,10 +310,19 @@ _PAST_THE_CAP = str(cli._SIZE_CAP + 1)
       "--at", "1,inf+1j"], None, 1),
     # exited 1 before there was one tail class too; it now reads through the beta tail
     (["moments", "--measure"], {"type": "density", "kind": "power_tail", "a": math.inf}, 1),
+    # admissible geometric measures: lam/ratio underflowed to 0 before math.log, "math domain
+    # error", or lam**2 did, "atom weight must be a positive finite real, got 0.0": exit 1
+    (["moments", "--n", "3", "--measure", "geom:1e-300:1e300"], None, 0),
+    (["moments", "--n", "3", "--measure", "geom:1e-170:1e170"], None, 0),
+    (["moments", "--n", "3", "--measure", "geom:5e-324:2"], None, 0),
+    (["moments", "--n", "3", "--measure", "geom:1e-200:1"], None, 0),
+    # 1/mu_0 of a subnormal mu_0 is inf: "scale factor must be a positive finite real", exit 1
+    (["classify", "--measure", "geom:5e-324:2"], None, 2),
 ], ids=["beta-inf-1", "beta-inf-half", "beta-nan-1", "beta-b-minus-inf", "beta-tiny-a",
         "beta-tinier-a", "peak-underflow", "peak-flushed", "peak-subnormal", "peak-overflow-p2",
         "peak-overflow-pinf", "peak-coefficient-overflow", "moments-size", "report-size",
-        "apply-size", "at-nan", "at-inf", "power-tail-json-inf"])
+        "apply-size", "at-nan", "at-inf", "power-tail-json-inf", "geom-1e-300", "geom-1e-170",
+        "geom-least-subnormal", "geom-1e-200-ratio-1", "geom-classify-subnormal-mu0"])
 def test_parameters_sizes_and_points_at_the_edges(argv, value, want, tmp_path):
     if value is not None:
         argv = [*argv, _descriptor(value, tmp_path / "input.json")]
@@ -327,6 +336,8 @@ def test_parameters_sizes_and_points_at_the_edges(argv, value, want, tmp_path):
         assert elapsed < 1.0 and "cap" in err
     if "beta:1e-17:1" in argv:  # mu_n = 1/(n + a)
         assert out == "1e+17, 1, 0.5, 0.3333333333333\n"
+    if "geom:1e-200:1" in argv:  # mu_n = lam/(1 - lam) at ratio 1
+        assert out == "1e-200, 1e-200, 1e-200, 1e-200\n"
     if code == 0 and argv[0] == "norm":  # the peak is normalised to norm 1
         assert abs(float(out) - 1.0) <= 1e-12
 
@@ -552,10 +563,10 @@ def test_moments_and_apply_keep_the_exit_code_contract(action_files, command, m,
             assert math.isfinite(value.real) and math.isfinite(value.imag)
 
 
-# -- cold start: no path loads scipy ---------------------------------------------------------
+# -- cold start: no path loads scipy or numpy.polynomial ------------------------------------
 
-_SCIPY_MODULES = ("import sys; print(sorted(m for m in sys.modules "
-                  "if m == 'scipy' or m.startswith('scipy.')))")
+_SCIPY_MODULES = ("import sys; print(sorted(m for m in sys.modules if m == 'scipy' or "
+                  "m.startswith(('scipy.', 'numpy.polynomial'))))")
 
 
 def _fresh_python(code: str) -> str:

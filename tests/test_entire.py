@@ -168,6 +168,32 @@ class TestCoeffFunction:
         assert isinstance(value, complex)
         assert value == pytest.approx(f(np.array([z]))[0], rel=4e-16, abs=0)
 
+    @pytest.mark.parametrize("z", [0.7 + 0.2j, 2.5, np.float64(-1.5), np.array(0.5 - 0.5j),
+                                   np.array([0.7 + 0.2j, -3.0, 40j]), np.array([0.5, -2.0]),
+                                   np.array([[1.5, -2.0], [0.5j, 30.0]])],
+                             ids=["complex", "float", "float64", "0-d", "array", "real-array",
+                                  "2-d"])
+    @pytest.mark.parametrize("scale", [1.0, 1e300], ids=["finite", "overflow"])
+    def test_horner_is_numpy_polyval_bit_for_bit(self, z, scale):
+        # the same arithmetic in the same order: the same bits, type and warnings.  Scale
+        # 1e300 overflows for |z| >= 1, and |z| = 40 at degree 219 at either scale
+        from numpy.polynomial.polynomial import polyval
+
+        rng = np.random.default_rng(7)
+        for degree in (0, 1, 5, 60, 219):
+            c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            f = entire.CoeffFunction(scale * c)
+            with warnings.catch_warnings(record=True) as got_warnings:
+                warnings.simplefilter("always")
+                got = f(z)
+            with warnings.catch_warnings(record=True) as want_warnings:
+                warnings.simplefilter("always")
+                want = polyval(complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex),
+                               f.coeffs)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+
 
 class TestUnitPhases:
     def test_normal_entries_keep_their_bits(self):

@@ -78,6 +78,29 @@ class TestCircleMean:
             assert (np.diff(vals) >= -1e-10).all()
 
 
+class TestRadialGaussRule:
+    def test_nodes_and_weights_against_mpmath(self):
+        # the roots of P_24, Newton-refined in 40 digits from the rule's own nodes, and their
+        # weights 2/((1 - x**2) P_24'(x)**2).  Measured: nodes within 1.07e-16, weights
+        # within 9.6e-15 relative; numpy's leggauss(24) has weights 1.2e-13 off
+        import mpmath
+
+        n = focknorm.GL_ORDER
+        node_err = weight_err = 0.0
+        with mpmath.workdps(40):
+            for x, w in zip(focknorm._GL_NODES.tolist(), focknorm._GL_WEIGHTS.tolist()):
+                r = mpmath.mpf(x)
+                for _ in range(4):
+                    p_n, p_m = mpmath.legendre(n, r), mpmath.legendre(n - 1, r)
+                    r -= p_n * (r * r - 1) / (n * (r * p_n - p_m))
+                dp = n * (r * mpmath.legendre(n, r) - mpmath.legendre(n - 1, r)) / (r * r - 1)
+                node_err = max(node_err, float(abs(x - r)))
+                weight_err = max(weight_err, float(abs(w * (1 - r * r) * dp**2 / 2 - 1)))
+        assert len(focknorm._GL_NODES) == n
+        assert node_err <= 1.1e-16
+        assert weight_err <= 1e-14
+
+
 class TestFockNorm:
     def test_constant_has_unit_norm(self):
         for p in (0.5, 1.0, 2.0, 4.0, INF):

@@ -134,10 +134,11 @@ class TestPowerTailIsTheBetaTailAtBOne:
 class TestLogBeta:
     # the largest |_log_beta - log B| / max(1, |log B|) against 40-digit mpmath, as measured,
     # over s = 1e-300..1e15 in half decades and 0.05..40 in steps of 0.05, which crosses
-    # the switch to Stirling's series at 16; below 16 the lgamma difference cancels for a
-    # large b, most at (344.05, 0.25)
-    BOUNDS = {1.0: 1.1e-16, 0.5: 1.4e-14, 1.5: 2.1e-15, 2.5: 1.8e-15, 111.43: 5.2e-14,
-              344.05: 4.6e-13}
+    # the switch to Stirling's series at 16.  From b = 16 on, lgamma(b) is never formed:
+    # below 16 the lgamma difference cancelled for a large b, to 4.6e-13 at (344.05, 0.25)
+    # and 1.8e-11 at (1e4, 0.25)
+    BOUNDS = {1.0: 1.1e-16, 0.5: 1.4e-14, 1.5: 2.1e-15, 2.5: 1.8e-15, 16.5: 6.2e-16,
+              40.0: 9.0e-16, 111.43: 7.3e-16, 344.05: 1.1e-15, 1e4: 4.9e-16}
 
     @pytest.mark.parametrize("b", sorted(BOUNDS))
     def test_against_mpmath(self, b):
